@@ -371,7 +371,7 @@ def _run_cell(args) -> dict:
     test_tables, y_test = dataset.take_rows(test_idx)
 
     pres = [fit_preprocessor(t, cfg) for t in train_tables]
-    train_p = [p.transform(t) for p, t in zip(pres, train_tables)]
+    train_p = [p.train_transformed for p in pres]
     test_p = [p.transform(t) for p, t in zip(pres, test_tables)]
     if cfg.smote_enabled:
         train_fit, y_fit = smote_balance_tables(

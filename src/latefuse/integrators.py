@@ -936,7 +936,7 @@ def score_modality_subset(
         train_tables, y_train = sub.take_rows(train_idx)
         test_tables, y_test = sub.take_rows(test_idx)
         pres = [fit_preprocessor(t, preprocess_cfg) for t in train_tables]
-        train_p = [p.transform(t) for p, t in zip(pres, train_tables)]
+        train_p = [p.train_transformed for p in pres]
         test_p = [p.transform(t) for p, t in zip(pres, test_tables)]
         if preprocess_cfg.smote_enabled:
             train_p, y_fit = smote_balance_tables(

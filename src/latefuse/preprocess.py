@@ -185,18 +185,31 @@ def impute_knn(
         row_observed = ~np.isnan(row)
         r_scaled = np.where(row_observed, row / scale, 0.0)
         shared = train_observed & row_observed
-        n_shared = shared.sum(axis=1)
         diff = (t_scaled - r_scaled) * shared
         dist = np.sqrt((diff * diff).sum(axis=1))
-        dist[n_shared == 0] = np.inf
+        dist[~shared.any(axis=1)] = np.inf
         order = np.argsort(dist, kind="stable")
-        for j in np.flatnonzero(~row_observed):
-            donors = order[train_observed[order, j] & np.isfinite(dist[order])]
-            if len(donors) == 0:
-                out[i, j] = train_mean[j]
-            else:
-                picked = donors[: cfg.knn_k]
-                out[i, j] = tv[picked, j].mean()
+        order = order[np.isfinite(dist[order])]
+        miss = np.flatnonzero(~row_observed)
+        # a column's donors are the first knn_k candidates that observe it;
+        # look among the nearest 4 * knn_k first, and among all candidates
+        # only when some column has fewer than knn_k donors there
+        cands = order[: 4 * cfg.knn_k]
+        observed = train_observed[cands[None, :], miss[:, None]]
+        if len(cands) < len(order) and (observed.sum(axis=1) < cfg.knn_k).any():
+            cands = order
+            observed = train_observed[cands[None, :], miss[:, None]]
+        take = observed & (np.cumsum(observed, axis=1) <= cfg.knn_k)
+        # nonzero lists the donors column by column, nearest first
+        col, pos = np.nonzero(take)
+        donor_values = tv[cands[pos], miss[col]]
+        n_donors = take.sum(axis=1)
+        out[i, miss[n_donors == 0]] = train_mean[miss[n_donors == 0]]
+        # summing each column's donors along one contiguous row adds them in
+        # the same order as the 1-D mean of that column's donors
+        for c in set(n_donors.tolist()) - {0}:
+            values = donor_values[n_donors[col] == c].reshape(-1, c)
+            out[i, miss[n_donors == c]] = values.sum(axis=1) / c
     return ModalityTable(
         apply_to.modality_name, list(apply_to.sample_ids), list(apply_to.feature_names), out
     )
@@ -237,18 +250,25 @@ def normalize(train: ModalityTable, apply_to: ModalityTable, kind: str) -> Modal
 @dataclass
 class FittedPreprocessor:
     """Column choice + imputation donors + normalization statistics for one
-    modality, all fit on a training split."""
+    modality, all fit on a training split.
+
+    ``train_transformed`` is what ``transform`` returns for the training rows,
+    computed once at fit time so callers need not impute those rows again.
+    """
 
     modality_name: str
     kept_feature_names: list[str]
-    kept_indices: np.ndarray
     normalization_kind: str
     train_filtered: ModalityTable  # training rows restricted to kept columns
     cfg: PreprocessConfig
     train_imputed: ModalityTable = field(init=False)
+    train_transformed: ModalityTable = field(init=False)
 
     def __post_init__(self) -> None:
         self.train_imputed = impute_knn(self.train_filtered, self.train_filtered, self.cfg)
+        self.train_transformed = normalize(
+            self.train_imputed, self.train_imputed, self.normalization_kind
+        )
 
     def transform(self, table: ModalityTable) -> ModalityTable:
         if table.feature_names == self.kept_feature_names:
@@ -274,12 +294,9 @@ def fit_preprocessor(
     filtered = filter_sparse(train, cfg)
     filtered = prune_correlated(filtered, cfg)
     filtered = variance_topk(filtered, train.n_samples, cfg)
-    name_to_idx = {n: i for i, n in enumerate(train.feature_names)}
-    kept = np.array([name_to_idx[n] for n in filtered.feature_names], dtype=np.intp)
     return FittedPreprocessor(
         modality_name=train.modality_name,
         kept_feature_names=list(filtered.feature_names),
-        kept_indices=kept,
         normalization_kind=cfg.normalization_for(train.modality_name),
         train_filtered=filtered,
         cfg=cfg,
@@ -296,15 +313,19 @@ def _smote_plan(
     reference: np.ndarray,
     k: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int, float, int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Choose (base row, neighbor row, interpolation coefficient, class) for
     every synthetic sample, one minority class at a time against the majority.
 
     Neighbors are same-class nearest rows in the reference feature space.
+    Returns the four as aligned arrays, one entry per synthetic sample.
     """
     classes, counts = np.unique(y, return_counts=True)
     majority = int(counts.max())
-    plan: list[tuple[int, int, float, int]] = []
+    base: list[int] = []
+    neighbor: list[int] = []
+    u: list[float] = []
+    labels: list[int] = []
     for cls in classes:
         members = np.flatnonzero(y == cls)
         deficit = majority - len(members)
@@ -320,9 +341,23 @@ def _smote_plan(
         for _ in range(deficit):
             b = int(rng.integers(len(members)))
             nb = int(neighbor_lists[b, int(rng.integers(kk))])
-            u = float(rng.uniform())
-            plan.append((int(members[b]), int(members[nb]), u, int(cls)))
-    return plan
+            base.append(int(members[b]))
+            neighbor.append(int(members[nb]))
+            u.append(float(rng.uniform()))
+            labels.append(int(cls))
+    return (
+        np.array(base, dtype=np.intp),
+        np.array(neighbor, dtype=np.intp),
+        np.array(u, dtype=np.float64),
+        np.array(labels, dtype=np.intp),
+    )
+
+
+def _synthesize(
+    values: np.ndarray, base: np.ndarray, neighbor: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Synthetic rows x + u * (x_nn - x) for every planned (base, neighbor, u)."""
+    return values[base] + u[:, None] * (values[neighbor] - values[base])
 
 
 def smote_balance(
@@ -341,15 +376,10 @@ def smote_balance(
     if np.isnan(X).any():
         raise PreprocessError("SMOTE requires imputed (non-missing) data")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
-    plan = _smote_plan(y, X, k, rng)
-    if not plan:
+    base, neighbor, u, labels = _smote_plan(y, X, k, rng)
+    if not len(labels):
         return X.copy(), y.copy()
-    synth = np.empty((len(plan), X.shape[1]), dtype=np.float64)
-    labels = np.empty(len(plan), dtype=np.intp)
-    for i, (b, nb, u, cls) in enumerate(plan):
-        synth[i] = X[b] + u * (X[nb] - X[b])
-        labels[i] = cls
-    return np.vstack([X, synth]), np.concatenate([y, labels])
+    return np.vstack([X, _synthesize(X, base, neighbor, u)]), np.concatenate([y, labels])
 
 
 def smote_balance_tables(
@@ -369,22 +399,17 @@ def smote_balance_tables(
     if np.isnan(concat).any():
         raise PreprocessError("SMOTE requires imputed (non-missing) data")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
-    plan = _smote_plan(y, concat, k, rng)
-    if not plan:
+    base, neighbor, u, labels = _smote_plan(y, concat, k, rng)
+    if not len(labels):
         return [t for t in tables], y.copy()
-    synth_ids = [f"synthetic_{i}" for i in range(len(plan))]
-    out_tables = []
-    for t in tables:
-        synth = np.empty((len(plan), t.n_features), dtype=np.float64)
-        for i, (b, nb, u, _) in enumerate(plan):
-            synth[i] = t.values[b] + u * (t.values[nb] - t.values[b])
-        out_tables.append(
-            ModalityTable(
-                t.modality_name,
-                list(t.sample_ids) + synth_ids,
-                list(t.feature_names),
-                np.vstack([t.values, synth]),
-            )
+    synth_ids = [f"synthetic_{i}" for i in range(len(labels))]
+    out_tables = [
+        ModalityTable(
+            t.modality_name,
+            list(t.sample_ids) + synth_ids,
+            list(t.feature_names),
+            np.vstack([t.values, _synthesize(t.values, base, neighbor, u)]),
         )
-    labels = np.concatenate([y, np.array([cls for *_, cls in plan], dtype=np.intp)])
-    return out_tables, labels
+        for t in tables
+    ]
+    return out_tables, np.concatenate([y, labels])

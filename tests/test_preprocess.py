@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latefuse.preprocess import (
     PreprocessConfig,
@@ -7,6 +9,7 @@ from latefuse.preprocess import (
     filter_sparse,
     fit_preprocessor,
     impute_knn,
+    _train_scale,
     normalize,
     prune_correlated,
     smote_balance,
@@ -102,6 +105,45 @@ class TestVarianceTopK:
         assert out.feature_names == [table.feature_names[0], table.feature_names[2]]
 
 
+def reference_impute_knn(train, apply_to, cfg):
+    """Per-cell donor loop that impute_knn replaced, kept as the exact oracle."""
+    tv = train.values
+    train_observed = ~np.isnan(tv)
+    out = apply_to.values.copy()
+    scale = _train_scale(tv)
+    t_scaled = np.where(train_observed, tv / scale, 0.0)
+    train_mean = np.nanmean(tv, axis=0)
+    for i in np.flatnonzero(np.isnan(out).any(axis=1)):
+        row = out[i]
+        row_observed = ~np.isnan(row)
+        r_scaled = np.where(row_observed, row / scale, 0.0)
+        shared = train_observed & row_observed
+        n_shared = shared.sum(axis=1)
+        diff = (t_scaled - r_scaled) * shared
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        dist[n_shared == 0] = np.inf
+        order = np.argsort(dist, kind="stable")
+        for j in np.flatnonzero(~row_observed):
+            donors = order[train_observed[order, j] & np.isfinite(dist[order])]
+            if len(donors) == 0:
+                out[i, j] = train_mean[j]
+            else:
+                out[i, j] = tv[donors[: cfg.knn_k], j].mean()
+    return out
+
+
+def with_missing(values, rate, rng):
+    values = values.copy()
+    values[rng.uniform(size=values.shape) < rate] = np.nan
+    return values
+
+
+def assert_matches_reference(train, apply_to, cfg):
+    out = impute_knn(train, apply_to, cfg)
+    np.testing.assert_array_equal(out.values, reference_impute_knn(train, apply_to, cfg))
+    assert not np.isnan(out.values).any()
+
+
 class TestImputeKnn:
     def test_mean_of_donors(self):
         # six training rows identical in observed coordinates; donor mean is 3.0
@@ -133,6 +175,71 @@ class TestImputeKnn:
         dist = np.sqrt((((tv - row) / sd)[:, [0, 1, 3]] ** 2).sum(axis=1))
         nearest = np.argsort(dist, kind="stable")[:3]
         assert out.values[0, 2] == pytest.approx(tv[nearest, 2].mean())
+
+    def test_exact_with_duplicate_training_rows(self, rng):
+        base = rng.normal(size=(4, 5))
+        tv = np.vstack([base, base, base])
+        tv[:, 0] = rng.normal(size=12)  # rows i, i+4, i+8 tie on every other column
+        apply_to = with_missing(rng.normal(size=(10, 5)), 0.3, rng)
+        apply_to[:, 0] = np.nan  # so the k-th donor of column 0 falls inside a tie
+        assert_matches_reference(make_table(values=tv), make_table(values=apply_to), CFG)
+
+    def test_exact_when_donors_are_few_or_far(self, rng):
+        tv = rng.normal(size=(40, 4))
+        tv[30:, :2] += 50.0  # rows 30-39 are the farthest candidates
+        tv[:30, 2] = np.nan  # so every donor of column 2 lies beyond the nearest 20
+        tv[2:, 3] = np.nan  # two donors for column 3, knn_k is 5
+        apply_to = rng.normal(size=(6, 4))
+        apply_to[:, 2:] = np.nan
+        apply_to[::2, 0] = np.nan
+        assert_matches_reference(make_table(values=tv), make_table(values=apply_to), CFG)
+
+    def test_exact_train_mean_fallback(self, rng):
+        tv = np.full((12, 4), np.nan)
+        tv[:4, :2] = rng.normal(size=(4, 2))  # rows 0-3 observe only columns 0-1
+        tv[4:, 2:] = rng.normal(size=(8, 2))  # rows 4-11 observe only columns 2-3
+        apply_to = np.array([[0.5, 0.1, np.nan, np.nan], [np.nan, -1.0, 2.0, np.nan]])
+        train = make_table(values=tv)
+        out = impute_knn(train, make_table(values=apply_to), CFG)
+        # the first row shares no observed feature with rows 4-11, the only
+        # donors for columns 2 and 3, so both fall back to the training mean
+        np.testing.assert_array_equal(out.values[0, 2:], np.nanmean(tv, axis=0)[2:])
+        assert_matches_reference(train, make_table(values=apply_to), CFG)
+
+    def test_exact_when_applied_to_train(self, rng):
+        train = make_table(values=with_missing(rng.normal(size=(30, 8)), 0.2, rng))
+        assert_matches_reference(train, train, CFG)
+
+    def test_exact_on_random_table(self, rng):
+        train = make_table(values=with_missing(rng.normal(size=(60, 40)), 0.2, rng))
+        apply_to = make_table(values=with_missing(rng.normal(size=(60, 40)), 0.2, rng))
+        assert_matches_reference(train, apply_to, CFG)
+        assert_matches_reference(train, train, CFG)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_train=st.integers(2, 30),
+        n_apply=st.integers(1, 12),
+        n_features=st.integers(1, 12),
+        knn_k=st.integers(1, 12),
+        rate=st.floats(0.0, 0.6),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_property(
+        self, n_train, n_apply, n_features, knn_k, rate, ties, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n_train = max(n_train, knn_k + 1)
+        tv = rng.normal(size=(n_train, n_features)) * 10.0 ** rng.uniform(-3, 3, n_features)
+        if ties:
+            tv = np.round(tv, 0)  # repeated values and tied distances
+        tv = with_missing(tv, rate, rng)
+        empty = np.isnan(tv).all(axis=0)
+        tv[0, empty] = 1.0  # every training column keeps an observed cell
+        apply_to = with_missing(rng.normal(size=(n_apply, n_features)), rate, rng)
+        cfg = PreprocessConfig(knn_k=knn_k)
+        assert_matches_reference(make_table(values=tv), make_table(values=apply_to), cfg)
 
     def test_all_missing_training_feature_errors(self):
         train = make_table(values=np.column_stack([np.full(6, np.nan), np.arange(6.0)]))
@@ -273,6 +380,21 @@ class TestFittedPreprocessor:
         np.testing.assert_array_equal(
             fitted1.train_imputed.values, fitted2.train_imputed.values
         )
+
+    @pytest.mark.parametrize("kind", ["standardize", "cpm_log"])
+    def test_train_transformed_equals_transform_of_train(self, rng, kind):
+        values = rng.poisson(20.0, size=(40, 12)).astype(np.float64)
+        values[rng.uniform(size=values.shape) < 0.15] = np.nan
+        values[:, 11] = np.nan  # dropped by the sparsity filter
+        values[:3, 11] = 1.0
+        table = make_table(values=values)
+        fitted = fit_preprocessor(table, PreprocessConfig(default_normalization=kind))
+        expected = fitted.transform(table)
+        out = fitted.train_transformed
+        assert out.modality_name == expected.modality_name
+        assert out.sample_ids == expected.sample_ids
+        assert out.feature_names == expected.feature_names
+        assert out.values.tobytes() == expected.values.tobytes()
 
     def test_pipeline_deterministic(self, rng):
         values = rng.normal(size=(18, 5))
