@@ -10,7 +10,6 @@ benchmark harness with corrected significance testing.
 """
 
 from .data import (
-    ClassLabel,
     DataError,
     FoldPlan,
     ModalityTable,

@@ -8,7 +8,7 @@ immutable; fold plans are fully reproducible from their seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,14 +19,6 @@ DEFAULT_MISSING_TOKENS = ("", "NA", "NaN", "null")
 
 class DataError(Exception):
     """Malformed or inconsistent input data."""
-
-
-@dataclass(frozen=True)
-class ClassLabel:
-    """A class token and its position in the fixed ordered class list."""
-
-    name: str
-    index: int
 
 
 @dataclass
@@ -128,10 +120,6 @@ class MultiModalDataset:
     @property
     def modality_names(self) -> list[str]:
         return [t.modality_name for t in self.modalities]
-
-    @property
-    def class_labels(self) -> list[ClassLabel]:
-        return [ClassLabel(name, i) for i, name in enumerate(self.class_names)]
 
     def subset_modalities(self, names: Sequence[str]) -> "MultiModalDataset":
         """Dataset restricted to the named modalities, keeping original order."""

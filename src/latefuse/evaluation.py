@@ -24,7 +24,7 @@ from .feature_selection import (
     select_signature,
     stability_cwrel,
 )
-from .integrators import IntegratorSpec, MetaLearnerIntegrator, fit_integrator
+from .integrators import IntegratorSpec, fit_integrator
 from .learners import PredictionSet
 from .preprocess import PreprocessConfig, fit_preprocessor, smote_balance_tables
 
@@ -391,15 +391,15 @@ def _run_cell(args) -> dict:
             predictions = fitted.predict(test_p)
             metrics = compute_metrics(predictions, y_test)
             scores = fitted.feature_scores()
-            if isinstance(fitted, MetaLearnerIntegrator):
-                selected = set(fitted.meta_feature_keys)
+            if spec.kind == "ML":  # every meta feature counts as selected
+                selected = set(scores)
             else:
                 selected = {key for key, v in scores.items() if v > 0}
             out[label] = {
                 "metrics": metrics,
                 "scores": scores,
                 "selected": selected,
-                "extras": fitted.report_extras(),
+                "extras": fitted.extras,
                 "n_test": len(test_idx),
                 "failure": None,
             }

@@ -4,7 +4,7 @@ rounds and CV folds, and the relative weighted consistency stability index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -228,7 +228,6 @@ class StabilityReport:
     n_subsets: int
     union_size: int
     universe_size: int
-    frequencies: dict = field(default_factory=dict)  # feature -> occurrence count
     caveat: Optional[str] = None
 
     def to_json_dict(self) -> dict:
@@ -273,7 +272,7 @@ def stability_cwrel(
         )
     total = sum(freq.values())
     if total == 0:
-        return StabilityReport(0.0, n, 0, universe_size, {}, caveat)
+        return StabilityReport(0.0, n, 0, universe_size, caveat)
 
     counts = np.array(list(freq.values()), dtype=np.float64)
     cw = float((counts * (counts - 1)).sum() / (total * (n - 1)))
@@ -292,4 +291,4 @@ def stability_cwrel(
     else:
         value = (cw - cw_min) / denom
     value = float(min(1.0, max(0.0, value)))
-    return StabilityReport(value, n, union_size, universe_size, dict(freq), caveat)
+    return StabilityReport(value, n, union_size, universe_size, caveat)

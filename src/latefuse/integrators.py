@@ -1,9 +1,12 @@
 """Late-integration strategies over aligned per-modality tables.
 
-Nine strategies share one surface: fit on preprocessed training tables plus
-labels, predict a PredictionSet on aligned test tables, and expose raw
-per-(modality, feature) importance scores for downstream signature selection.
-The incremental modality-subset selector lives here too.
+Nine strategies share one fitted shape, `FittedIntegrator`. Each kind has one
+`fit_*` function that trains on preprocessed training tables plus labels and
+returns it fully built. `predict` gives a PredictionSet on aligned test
+tables, `feature_scores` gives raw per-(modality, feature) importance scores
+for downstream signature selection, and `extras` holds the kind's
+JSON-ready diagnostics for the report. The incremental modality-subset
+selector lives here too.
 
 Method kinds (config vocabulary):
 
@@ -21,11 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .data import ModalityTable, MultiModalDataset, make_fold_plan
+from .feature_selection import aggregate_boosted_importance
 from .learners import (
     GbmModel,
     GbmParams,
@@ -102,13 +107,95 @@ def _select_tables(
     return [by_name[n] for n in names]
 
 
-def _uniform_weights(n: int) -> np.ndarray:
-    return np.ones(n, dtype=np.float64)
+@dataclass(frozen=True, eq=False)
+class FittedIntegrator:
+    """A fitted strategy of any kind.
+
+    `feature_names[m]` and `importances[m]` are aligned with modality
+    `modality_names[m]`; for ML the features are the meta learner's inputs,
+    `meta_proba_k`. `predict_values` maps the value arrays of those
+    modalities, in that order, to a PredictionSet. It is a
+    `functools.partial` of the kind's predict function, and its keywords hold
+    the fitted models.
+    """
+
+    spec: IntegratorSpec
+    modality_names: list[str]
+    feature_names: list[list[str]]
+    importances: list[np.ndarray]
+    predict_values: Callable[[list[np.ndarray]], PredictionSet]
+    extras: dict = field(default_factory=dict)
+
+    def predict(self, tables: Sequence[ModalityTable]) -> PredictionSet:
+        used = _select_tables(tables, self.modality_names)
+        return self.predict_values([t.values for t in used])
+
+    def feature_scores(self) -> dict:
+        return {
+            (name, feat): float(imp[i])
+            for name, feats, imp in zip(self.modality_names, self.feature_names, self.importances)
+            for i, feat in enumerate(feats)
+        }
+
+
+def _fitted(spec, tables, importances, predict_values, extras=None) -> FittedIntegrator:
+    """A FittedIntegrator whose features are the tables' own columns."""
+    return FittedIntegrator(
+        spec=spec,
+        modality_names=[t.modality_name for t in tables],
+        feature_names=[list(t.feature_names) for t in tables],
+        importances=importances,
+        predict_values=predict_values,
+        extras=extras or {},
+    )
+
+
+def _fit_per_modality(values, labels, weights, base, seed, n_classes) -> list[GbmModel]:
+    """One GBM per modality; modality i is seeded seed + 17 * i."""
+    return [
+        fit_gbm(x, labels, weights, base, seed=seed + 17 * i, n_classes=n_classes)
+        for i, x in enumerate(values)
+    ]
+
+
+def _predict_each(models, values) -> list[PredictionSet]:
+    return [m.predict_proba(x) for m, x in zip(models, values)]
+
+
+def _normalize_rows(scores: np.ndarray, n_classes: int) -> np.ndarray:
+    """Rows scaled to sum 1; a row without positive mass becomes uniform."""
+    total = scores.sum(axis=1, keepdims=True)
+    return np.where(total > 0, scores / np.where(total > 0, total, 1.0), 1.0 / n_classes)
+
+
+def _weighted_importance(weights, importances) -> np.ndarray:
+    """Weight-averaged importance vectors; zeros when no weight is positive."""
+    weights = [float(wt) for wt in weights]
+    if sum(weights) <= 0:
+        return np.zeros(len(importances[0]))
+    return aggregate_boosted_importance(list(zip(weights, importances)))
 
 
 # ---------------------------------------------------------------------------
 # voting rules
 # ---------------------------------------------------------------------------
+
+
+def _check_parts(per_modality: Sequence[PredictionSet]) -> None:
+    if not per_modality:
+        raise IntegrationError("empty prediction list")
+    n, n_classes = per_modality[0].n_samples, per_modality[0].n_classes
+    if any(p.n_samples != n or p.n_classes != n_classes for p in per_modality):
+        raise IntegrationError("prediction sets disagree on shape")
+
+
+def _vote_counts(per_modality: Sequence[PredictionSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted labels (n, M) and per-class vote counts (n, K), as float64."""
+    votes = np.stack([p.labels for p in per_modality], axis=1)
+    counts = np.zeros((votes.shape[0], per_modality[0].n_classes), dtype=np.float64)
+    rows = np.repeat(np.arange(votes.shape[0]), votes.shape[1])
+    np.add.at(counts, (rows, votes.ravel()), 1.0)
+    return votes, counts
 
 
 def vote_hard(per_modality: Sequence[PredictionSet]) -> PredictionSet:
@@ -117,17 +204,8 @@ def vote_hard(per_modality: Sequence[PredictionSet]) -> PredictionSet:
     Ties go to the vote of the earliest modality (configuration order) among
     the tied classes. Output probabilities are vote fractions.
     """
-    if not per_modality:
-        raise IntegrationError("empty prediction list")
-    n = per_modality[0].n_samples
-    n_classes = per_modality[0].n_classes
-    for p in per_modality:
-        if p.n_samples != n or p.n_classes != n_classes:
-            raise IntegrationError("prediction sets disagree on shape")
-    votes = np.stack([p.labels for p in per_modality], axis=1)  # (n, M)
-    counts = np.zeros((n, n_classes), dtype=np.float64)
-    rows = np.repeat(np.arange(n), votes.shape[1])
-    np.add.at(counts, (rows, votes.ravel()), 1.0)
+    _check_parts(per_modality)
+    votes, counts = _vote_counts(per_modality)
 
     max_count = counts.max(axis=1)
     labels = np.argmax(counts, axis=1)
@@ -142,13 +220,8 @@ def vote_hard(per_modality: Sequence[PredictionSet]) -> PredictionSet:
 
 def vote_soft(per_modality: Sequence[PredictionSet]) -> PredictionSet:
     """Arithmetic mean of per-modality probability rows, argmax prediction."""
-    if not per_modality:
-        raise IntegrationError("empty prediction list")
-    n = per_modality[0].n_samples
-    n_classes = per_modality[0].n_classes
+    _check_parts(per_modality)
     for p in per_modality:
-        if p.n_samples != n or p.n_classes != n_classes:
-            raise IntegrationError("prediction sets disagree on shape")
         row_sums = p.probabilities.sum(axis=1)
         if np.abs(row_sums - 1.0).max() > 1e-6:
             raise IntegrationError("probability row not summing to 1")
@@ -186,13 +259,8 @@ def adaboost_high_confidence(
         top2 = np.sort(aggregated.probabilities, axis=1)[:, -2:]
         high_conf = top2[:, 1] >= soft_confidence_ratio * top2[:, 0]
     else:
-        m = len(per_modality)
-        votes = np.stack([p.labels for p in per_modality], axis=1)
-        n_classes = per_modality[0].n_classes
-        counts = np.zeros((len(truth), n_classes), dtype=np.intp)
-        rows = np.repeat(np.arange(len(truth)), m)
-        np.add.at(counts, (rows, votes.ravel()), 1)
-        high_conf = counts.max(axis=1) >= math.ceil(m / 2)
+        _, counts = _vote_counts(per_modality)
+        high_conf = counts.max(axis=1) >= math.ceil(len(per_modality) / 2)
     return high_conf & (aggregated.labels == truth)
 
 
@@ -201,26 +269,8 @@ def adaboost_high_confidence(
 # ---------------------------------------------------------------------------
 
 
-class ConcatIntegrator:
-    kind = "CONCAT"
-
-    def __init__(self, spec, modality_names, provenance, model):
-        self.spec = spec
-        self.modality_names = modality_names
-        self.provenance = provenance  # column -> (modality, feature)
-        self.model = model
-        self.n_classes = model.n_classes
-
-    def predict(self, tables: Sequence[ModalityTable]) -> PredictionSet:
-        used = _select_tables(tables, self.modality_names)
-        return self.model.predict_proba(np.hstack([t.values for t in used]))
-
-    def feature_scores(self) -> dict:
-        imp = self.model.feature_importances_
-        return {key: float(imp[i]) for i, key in enumerate(self.provenance)}
-
-    def report_extras(self) -> dict:
-        return {}
+def _predict_concat(values, *, model):
+    return model.predict_proba(np.hstack(values))
 
 
 def fit_concat(
@@ -229,16 +279,18 @@ def fit_concat(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
-) -> ConcatIntegrator:
+) -> FittedIntegrator:
     """Single model over the column-wise concatenation of all modalities."""
     provenance = [(t.modality_name, f) for t in tables for f in t.feature_names]
     if len(set(provenance)) != len(provenance):
         raise IntegrationError("duplicate (modality, feature) pair in concatenation")
     X = np.hstack([t.values for t in tables])
-    model = fit_gbm(
-        X, labels, _uniform_weights(len(labels)), spec.base, seed=seed, n_classes=n_classes
+    model = fit_gbm(X, labels, np.ones(len(labels)), spec.base, seed=seed, n_classes=n_classes)
+    bounds = np.cumsum([t.n_features for t in tables])[:-1]
+    return _fitted(
+        spec, tables, np.split(model.feature_importances_, bounds),
+        partial(_predict_concat, model=model),
     )
-    return ConcatIntegrator(spec, [t.modality_name for t in tables], provenance, model)
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +298,8 @@ def fit_concat(
 # ---------------------------------------------------------------------------
 
 
-class VoteIntegrator:
-    def __init__(self, spec, kind, modality_names, models):
-        self.spec = spec
-        self.kind = kind
-        self.modality_names = modality_names
-        self.models = models  # one GbmModel per modality
-        self.n_classes = models[0].n_classes
-
-    def _per_modality(self, tables) -> list[PredictionSet]:
-        used = _select_tables(tables, self.modality_names)
-        return [m.predict_proba(t.values) for m, t in zip(self.models, used)]
-
-    def predict(self, tables: Sequence[ModalityTable]) -> PredictionSet:
-        parts = self._per_modality(tables)
-        return vote_hard(parts) if self.kind == "ENS-H" else vote_soft(parts)
-
-    def feature_scores(self) -> dict:
-        scores = {}
-        for name, model, table_features in zip(
-            self.modality_names, self.models, self._feature_names
-        ):
-            for i, feat in enumerate(table_features):
-                scores[(name, feat)] = float(model.feature_importances_[i])
-        return scores
-
-    def report_extras(self) -> dict:
-        return {}
+def _predict_vote(values, *, models, vote):
+    return vote(_predict_each(models, values))
 
 
 def fit_vote(
@@ -281,18 +308,16 @@ def fit_vote(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
-    kind: Optional[str] = None,
-) -> VoteIntegrator:
+) -> FittedIntegrator:
     """One model per modality; predictions combined by hard or soft vote."""
-    kind = kind or spec.kind
-    w = _uniform_weights(len(labels))
-    models = [
-        fit_gbm(t.values, labels, w, spec.base, seed=seed + 17 * i, n_classes=n_classes)
-        for i, t in enumerate(tables)
-    ]
-    out = VoteIntegrator(spec, kind, [t.modality_name for t in tables], models)
-    out._feature_names = [list(t.feature_names) for t in tables]
-    return out
+    models = _fit_per_modality(
+        [t.values for t in tables], labels, np.ones(len(labels)), spec.base, seed, n_classes
+    )
+    vote = vote_hard if spec.kind == "ENS-H" else vote_soft
+    return _fitted(
+        spec, tables, [m.feature_importances_ for m in models],
+        partial(_predict_vote, models=models, vote=vote),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +326,7 @@ def fit_vote(
 
 
 def _oof_meta_features(
-    tables: Sequence[ModalityTable],
+    values: Sequence[np.ndarray],
     labels: np.ndarray,
     base: GbmParams,
     n_classes: int,
@@ -319,59 +344,24 @@ def _oof_meta_features(
     except Exception as e:
         raise IntegrationError(f"inner fold infeasible: {e}") from None
     n = len(labels)
-    meta = np.zeros((n, len(tables) * n_classes), dtype=np.float64)
-    w = sample_weight if sample_weight is not None else _uniform_weights(n)
+    meta = np.zeros((n, len(values) * n_classes), dtype=np.float64)
+    w = sample_weight if sample_weight is not None else np.ones(n)
     for _, f in plan.cells():
         test_idx = plan.test_indices(0, f)
         train_idx = plan.train_indices(0, f, n)
-        for m, table in enumerate(tables):
+        for m, x in enumerate(values):
             model = fit_gbm(
-                table.values[train_idx],
-                labels[train_idx],
-                w[train_idx],
-                base,
-                seed=seed + 31 * m + 7 * f,
-                n_classes=n_classes,
+                x[train_idx], labels[train_idx], w[train_idx], base,
+                seed=seed + 31 * m + 7 * f, n_classes=n_classes,
             )
-            probs = model.predict_proba(table.values[test_idx]).probabilities
+            probs = model.predict_proba(x[test_idx]).probabilities
             meta[test_idx, m * n_classes : (m + 1) * n_classes] = probs
     return meta
 
 
-class MetaLearnerIntegrator:
-    kind = "ML"
-
-    def __init__(self, spec, modality_names, base_models, forest, n_classes, class_names=None):
-        self.spec = spec
-        self.modality_names = modality_names
-        self.base_models = base_models
-        self.forest = forest
-        self.n_classes = n_classes
-        self.meta_feature_keys = [
-            (name, f"meta_proba_{k}") for name in modality_names for k in range(n_classes)
-        ]
-
-    def _meta_features(self, tables) -> np.ndarray:
-        used = _select_tables(tables, self.modality_names)
-        parts = [m.predict_proba(t.values).probabilities for m, t in zip(self.base_models, used)]
-        return np.hstack(parts)
-
-    def predict(self, tables: Sequence[ModalityTable]) -> PredictionSet:
-        return self.forest.predict_proba(self._meta_features(tables))
-
-    def feature_scores(self) -> dict:
-        imp = self.forest.feature_importances_
-        return {key: float(imp[i]) for i, key in enumerate(self.meta_feature_keys)}
-
-    def modality_relevance(self) -> dict:
-        imp = self.forest.feature_importances_
-        out = {}
-        for i, (name, _) in enumerate(self.meta_feature_keys):
-            out[name] = out.get(name, 0.0) + float(imp[i])
-        return out
-
-    def report_extras(self) -> dict:
-        return {"modality_relevance": self.modality_relevance()}
+def _predict_meta(values, *, base_models, forest):
+    parts = _predict_each(base_models, values)
+    return forest.predict_proba(np.hstack([p.probabilities for p in parts]))
 
 
 def fit_meta_learner(
@@ -380,19 +370,27 @@ def fit_meta_learner(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
-) -> MetaLearnerIntegrator:
-    """Random-forest meta model on out-of-fold base-model probabilities."""
-    w = _uniform_weights(len(labels))
-    base_models = [
-        fit_gbm(t.values, labels, w, spec.base, seed=seed + 17 * i, n_classes=n_classes)
-        for i, t in enumerate(tables)
-    ]
-    meta = _oof_meta_features(
-        tables, labels, spec.base, n_classes, spec.inner_folds, seed=seed + 811
-    )
+) -> FittedIntegrator:
+    """Random-forest meta model on out-of-fold base-model probabilities.
+
+    Its features are the meta inputs (modality, meta_proba_k); extras carry
+    each modality's summed meta importance as `modality_relevance`.
+    """
+    values = [t.values for t in tables]
+    base_models = _fit_per_modality(values, labels, np.ones(len(labels)), spec.base, seed, n_classes)
+    meta = _oof_meta_features(values, labels, spec.base, n_classes, spec.inner_folds, seed + 811)
     forest = fit_random_forest(meta, labels, spec.meta_forest, seed=seed + 977, n_classes=n_classes)
-    return MetaLearnerIntegrator(
-        spec, [t.modality_name for t in tables], base_models, forest, n_classes
+    names = [t.modality_name for t in tables]
+    importances = np.split(forest.feature_importances_, len(tables))
+    # cumsum adds left to right; np.sum's pairwise order could move the last bit
+    relevance = {name: float(np.cumsum(imp)[-1]) for name, imp in zip(names, importances)}
+    return FittedIntegrator(
+        spec=spec,
+        modality_names=names,
+        feature_names=[[f"meta_proba_{k}" for k in range(n_classes)] for _ in names],
+        importances=importances,
+        predict_values=partial(_predict_meta, base_models=base_models, forest=forest),
+        extras={"modality_relevance": relevance},
     )
 
 
@@ -400,65 +398,29 @@ def fit_meta_learner(
 # multi-modal Adaboost (SAMME-style round weights)
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class _AdaRound:
-    models: list  # one GbmModel per modality
-    alpha: float
-    meta_forest: Optional[object] = None  # per-round aggregator for ADA-M
+_ADA_AGGREGATORS = {"ADA-H": "hard", "ADA-S": "soft", "ADA-M": "meta"}
 
 
-class AdaboostIntegrator:
-    def __init__(self, spec, kind, modality_names, rounds, n_classes, soft_confidence_ratio):
-        self.spec = spec
-        self.kind = kind  # ADA-H | ADA-S | ADA-M
-        self.aggregator = {"ADA-H": "hard", "ADA-S": "soft", "ADA-M": "meta"}[kind]
-        self.modality_names = modality_names
-        self.rounds = rounds
-        self.n_classes = n_classes
-        self.soft_confidence_ratio = soft_confidence_ratio
+def _ada_aggregate(aggregator: str, parts, meta_forest) -> PredictionSet:
+    """One round's combined prediction: hard or soft vote, or the round's
+    meta forest on the stacked per-modality probabilities (ADA-M)."""
+    if aggregator == "hard":
+        return vote_hard(parts)
+    if aggregator == "soft":
+        return vote_soft(parts)
+    return meta_forest.predict_proba(np.hstack([p.probabilities for p in parts]))
 
-    def _round_aggregate(self, rnd: _AdaRound, tables) -> PredictionSet:
-        parts = [m.predict_proba(t.values) for m, t in zip(rnd.models, tables)]
-        if self.aggregator == "hard":
-            return vote_hard(parts)
-        if self.aggregator == "soft":
-            return vote_soft(parts)
-        meta = np.hstack([p.probabilities for p in parts])
-        return rnd.meta_forest.predict_proba(meta)
 
-    def predict(self, tables: Sequence[ModalityTable]) -> PredictionSet:
-        used = _select_tables(tables, self.modality_names)
-        n = used[0].n_samples
-        scores = np.zeros((n, self.n_classes), dtype=np.float64)
-        for rnd in self.rounds:
-            agg = self._round_aggregate(rnd, used)
-            if self.aggregator == "soft":
-                scores += rnd.alpha * agg.probabilities
-            else:
-                scores[np.arange(n), agg.labels] += rnd.alpha
-        total = scores.sum(axis=1, keepdims=True)
-        probs = np.where(total > 0, scores / np.where(total > 0, total, 1.0), 1.0 / self.n_classes)
-        return PredictionSet.from_probabilities(probs)
-
-    def feature_scores(self) -> dict:
-        from .feature_selection import aggregate_boosted_importance
-
-        scores = {}
-        for m, name in enumerate(self.modality_names):
-            per_round = [
-                (rnd.alpha, rnd.models[m].feature_importances_) for rnd in self.rounds
-            ]
-            if sum(wt for wt, _ in per_round) <= 0:
-                agg = np.zeros_like(per_round[0][1])
-            else:
-                agg = aggregate_boosted_importance(per_round)
-            for i, feat in enumerate(self._feature_names[m]):
-                scores[(name, feat)] = float(agg[i])
-        return scores
-
-    def report_extras(self) -> dict:
-        return {"round_weights": [rnd.alpha for rnd in self.rounds]}
+def _predict_ada(values, *, rounds, aggregator, n_classes):
+    n = len(values[0])
+    scores = np.zeros((n, n_classes), dtype=np.float64)
+    for alpha, models, meta_forest in rounds:
+        agg = _ada_aggregate(aggregator, _predict_each(models, values), meta_forest)
+        if aggregator == "soft":
+            scores += alpha * agg.probabilities
+        else:
+            scores[np.arange(n), agg.labels] += alpha
+    return PredictionSet.from_probabilities(_normalize_rows(scores, n_classes))
 
 
 def fit_adaboost_mm(
@@ -467,8 +429,7 @@ def fit_adaboost_mm(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
-    kind: Optional[str] = None,
-) -> AdaboostIntegrator:
+) -> FittedIntegrator:
     """Boost per-modality models under one shared sample-weight vector.
 
     Each round fits one model per modality on the weighted data, aggregates
@@ -476,44 +437,28 @@ def fit_adaboost_mm(
     the weighted error drives the multiclass round weight
     alpha = ln((1-e)/e) + ln(K-1). Misclassified samples are up-weighted by
     exp(alpha). A round with error >= 1 - 1/K is discarded and the weights
-    reset to uniform; error zero caps alpha and stops early.
+    reset to uniform; error zero caps alpha and stops early. Extras carry
+    the kept rounds' alphas as `round_weights`.
     """
-    kind = kind or spec.kind
-    aggregator = {"ADA-H": "hard", "ADA-S": "soft", "ADA-M": "meta"}[kind]
+    aggregator = _ADA_AGGREGATORS[spec.kind]
+    values = [t.values for t in tables]
     n = len(labels)
     K = n_classes
-    w = _uniform_weights(n)  # kept normalized to sum n
-    rounds: list[_AdaRound] = []
+    w = np.ones(n)  # kept normalized to sum n
+    rounds: list[tuple] = []  # (alpha, per-modality models, ADA-M meta forest or None)
 
     for t in range(spec.boosting_rounds):
-        models = [
-            fit_gbm(
-                tbl.values, labels, w, spec.base, seed=seed + 1009 * t + 17 * m, n_classes=K
-            )
-            for m, tbl in enumerate(tables)
-        ]
-        parts = [m.predict_proba(tbl.values) for m, tbl in zip(models, tables)]
-
+        models = _fit_per_modality(values, labels, w, spec.base, seed + 1009 * t, K)
+        parts = _predict_each(models, values)
         meta_forest = None
         if aggregator == "meta":
             meta_oof = _oof_meta_features(
-                tables,
-                labels,
-                spec.base,
-                K,
-                spec.ada_inner_folds,
-                seed=seed + 1013 * t,
-                sample_weight=w,
+                values, labels, spec.base, K, spec.ada_inner_folds, seed + 1013 * t, w
             )
             meta_forest = _fit_weighted_forest(
                 meta_oof, labels, spec.meta_forest, w, seed + 1019 * t, K
             )
-            meta_now = np.hstack([p.probabilities for p in parts])
-            aggregated = meta_forest.predict_proba(meta_now)
-        elif aggregator == "hard":
-            aggregated = vote_hard(parts)
-        else:
-            aggregated = vote_soft(parts)
+        aggregated = _ada_aggregate(aggregator, parts, meta_forest)
 
         correct = adaboost_high_confidence(
             parts, labels, aggregator, spec.soft_confidence_ratio, aggregated
@@ -521,23 +466,28 @@ def fit_adaboost_mm(
         eps = float(w[~correct].sum() / w.sum())
 
         if eps <= 0.0:
-            rounds.append(_AdaRound(models, _ALPHA_CAP + math.log(K - 1), meta_forest))
+            rounds.append((_ALPHA_CAP + math.log(K - 1), models, meta_forest))
             break
         if eps >= 1.0 - 1.0 / K:
-            w = _uniform_weights(n)  # discard round, restart from uniform weights
+            w = np.ones(n)  # discard round, restart from uniform weights
             continue
         alpha = math.log((1.0 - eps) / eps) + math.log(K - 1)
-        rounds.append(_AdaRound(models, alpha, meta_forest))
+        rounds.append((alpha, models, meta_forest))
         w = w * np.where(correct, 1.0, math.exp(alpha))
         w = w * (n / w.sum())
 
     if not rounds:
         raise IntegrationError("no usable boosting round (all rounds were discarded)")
-    out = AdaboostIntegrator(
-        spec, kind, [t.modality_name for t in tables], rounds, K, spec.soft_confidence_ratio
+    alphas = [alpha for alpha, _, _ in rounds]
+    importances = [
+        _weighted_importance(alphas, [models[m].feature_importances_ for _, models, _ in rounds])
+        for m in range(len(tables))
+    ]
+    return _fitted(
+        spec, tables, importances,
+        partial(_predict_ada, rounds=rounds, aggregator=aggregator, n_classes=K),
+        {"round_weights": alphas},
     )
-    out._feature_names = [list(t.feature_names) for t in tables]
-    return out
 
 
 def _fit_weighted_forest(X, y, params, sample_weight, seed, n_classes):
@@ -604,57 +554,17 @@ def _minimize_view_bound(
     return rho, True  # hit the step cap; current point is still on the simplex
 
 
-class PbmvBoostIntegrator:
-    kind = "PBMV"
-
-    def __init__(self, spec, modality_names, per_view_models, per_view_q, rho, n_classes,
-                 uniform_fallback):
-        self.spec = spec
-        self.modality_names = modality_names
-        self.per_view_models = per_view_models  # [view][round] -> GbmModel
-        self.per_view_q = per_view_q  # [view] -> np.ndarray of round weights
-        self.view_weights = rho
-        self.n_classes = n_classes
-        self.uniform_fallback = uniform_fallback
-
-    def predict(self, tables: Sequence[ModalityTable]) -> PredictionSet:
-        used = _select_tables(tables, self.modality_names)
-        n = used[0].n_samples
-        scores = np.zeros((n, self.n_classes), dtype=np.float64)
-        for v, (models, q, table) in enumerate(
-            zip(self.per_view_models, self.per_view_q, used)
-        ):
-            for t, model in enumerate(models):
-                if q[t] <= 0:
-                    continue
-                labels = model.predict_proba(table.values).labels
-                scores[np.arange(n), labels] += self.view_weights[v] * q[t]
-        total = scores.sum(axis=1, keepdims=True)
-        probs = np.where(total > 0, scores / np.where(total > 0, total, 1.0), 1.0 / self.n_classes)
-        return PredictionSet.from_probabilities(probs)
-
-    def feature_scores(self) -> dict:
-        from .feature_selection import aggregate_boosted_importance
-
-        scores = {}
-        for v, name in enumerate(self.modality_names):
-            q = self.per_view_q[v]
-            if q.sum() <= 0:
-                agg = np.zeros(len(self._feature_names[v]))
-            else:
-                agg = aggregate_boosted_importance(
-                    [(float(q[t]), m.feature_importances_) for t, m in
-                     enumerate(self.per_view_models[v])]
-                )
-            for i, feat in enumerate(self._feature_names[v]):
-                scores[(name, feat)] = float(agg[i])
-        return scores
-
-    def report_extras(self) -> dict:
-        return {
-            "view_weights": {n: float(w) for n, w in zip(self.modality_names, self.view_weights)},
-            "uniform_fallback": self.uniform_fallback,
-        }
+def _predict_pbmv(values, *, models, q, rho, n_classes):
+    """Vote of every (view, round) classifier with weight rho[v] * q[v][t]."""
+    n = len(values[0])
+    scores = np.zeros((n, n_classes), dtype=np.float64)
+    for v, x in enumerate(values):
+        for t, model in enumerate(models[v]):
+            if q[v][t] <= 0:
+                continue
+            labels = model.predict_proba(x).labels
+            scores[np.arange(n), labels] += rho[v] * q[v][t]
+    return PredictionSet.from_probabilities(_normalize_rows(scores, n_classes))
 
 
 def fit_pbmvboost(
@@ -663,21 +573,22 @@ def fit_pbmvboost(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
-) -> PbmvBoostIntegrator:
+) -> FittedIntegrator:
     """Two-level boosting: per-view classifier weights from the weighted edge,
     plus view weights on the simplex from bound minimization.
 
     Each view keeps its own Adaboost-style example weights. After every
     iteration the view weights rho are refit by minimizing the majority-vote
     error bound from the views' current risks and pairwise within-view
-    disagreements.
+    disagreements. Extras carry `view_weights` and whether the last refit
+    fell back to uniform weights (`uniform_fallback`).
     """
     if len(tables) < 2:
         raise IntegrationError("PBMV needs at least 2 modalities")
     n = len(labels)
     K = n_classes
     V = len(tables)
-    d_v = [_uniform_weights(n) for _ in range(V)]  # per-view example weights
+    d_v = [np.ones(n) for _ in range(V)]  # per-view example weights
     per_view_models: list[list[GbmModel]] = [[] for _ in range(V)]
     per_view_q: list[list[float]] = [[] for _ in range(V)]
     per_view_eps: list[list[float]] = [[] for _ in range(V)]
@@ -730,17 +641,20 @@ def fit_pbmvboost(
             rho = np.full(V, 1.0 / V)
             fallback = True
 
-    out = PbmvBoostIntegrator(
-        spec,
-        [t.modality_name for t in tables],
-        per_view_models,
-        [np.array(q) for q in per_view_q],
-        rho,
-        K,
-        fallback,
+    q_arrays = [np.array(q) for q in per_view_q]
+    importances = [
+        _weighted_importance(q, [m.feature_importances_ for m in models])
+        for q, models in zip(q_arrays, per_view_models)
+    ]
+    extras = {
+        "view_weights": {t.modality_name: float(w) for t, w in zip(tables, rho)},
+        "uniform_fallback": fallback,
+    }
+    return _fitted(
+        spec, tables, importances,
+        partial(_predict_pbmv, models=per_view_models, q=q_arrays, rho=rho, n_classes=K),
+        extras,
     )
-    out._feature_names = [list(t.feature_names) for t in tables]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -781,48 +695,22 @@ def moe_gate(per_expert: Sequence[tuple[np.ndarray, np.ndarray]]) -> GateDecisio
     return GateDecision(chosen=chosen, confidence=confidence)
 
 
-class MoeIntegrator:
-    kind = "MOE-COMBN"
+def _expert_outputs(values, experts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(own-class probability, claims-own-class flag) of each class's expert,
+    the soft vote of its per-modality binary models, for moe_gate."""
+    outputs = []
+    for models in experts:
+        combined = vote_soft(_predict_each(models, values))
+        outputs.append((combined.probabilities[:, 1], combined.labels == 1))
+    return outputs
 
-    def __init__(self, spec, modality_names, experts, n_classes):
-        self.spec = spec
-        self.modality_names = modality_names
-        self.experts = experts  # experts[class] -> list of per-modality binary GbmModels
-        self.n_classes = n_classes
 
-    def _expert_outputs(self, tables) -> list[tuple[np.ndarray, np.ndarray]]:
-        used = _select_tables(tables, self.modality_names)
-        outputs = []
-        for models in self.experts:
-            parts = [m.predict_proba(t.values) for m, t in zip(models, used)]
-            combined = vote_soft(parts)
-            own_prob = combined.probabilities[:, 1]
-            claims = combined.labels == 1
-            outputs.append((own_prob, claims))
-        return outputs
-
-    def gate(self, tables: Sequence[ModalityTable]) -> GateDecision:
-        return moe_gate(self._expert_outputs(tables))
-
-    def predict(self, tables: Sequence[ModalityTable]) -> PredictionSet:
-        outputs = self._expert_outputs(tables)
-        decision = moe_gate(outputs)
-        own = np.stack([p for p, _ in outputs], axis=1)
-        total = own.sum(axis=1, keepdims=True)
-        probs = np.where(total > 0, own / np.where(total > 0, total, 1.0), 1.0 / self.n_classes)
-        return PredictionSet(labels=decision.chosen, probabilities=probs)
-
-    def feature_scores(self) -> dict:
-        scores: dict = {}
-        for models in self.experts:
-            for name, model, feats in zip(self.modality_names, models, self._feature_names):
-                for i, feat in enumerate(feats):
-                    key = (name, feat)
-                    scores[key] = scores.get(key, 0.0) + float(model.feature_importances_[i])
-        return {k: v / self.n_classes for k, v in scores.items()}
-
-    def report_extras(self) -> dict:
-        return {}
+def _predict_moe(values, *, experts, n_classes):
+    outputs = _expert_outputs(values, experts)
+    own = np.stack([p for p, _ in outputs], axis=1)
+    return PredictionSet(
+        labels=moe_gate(outputs).chosen, probabilities=_normalize_rows(own, n_classes)
+    )
 
 
 def fit_moe(
@@ -831,17 +719,18 @@ def fit_moe(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
-) -> MoeIntegrator:
+) -> FittedIntegrator:
     """One binary one-vs-rest expert per class, each a soft-voting ensemble.
 
     Each expert's training split is rebalanced (its own class vs REST) before
-    fitting, so minority classes get a fair specialist.
+    fitting, so minority classes get a fair specialist. A feature's score is
+    its importance averaged over the experts.
     """
     present = set(np.unique(labels).tolist())
     missing = [k for k in range(n_classes) if k not in present]
     if missing:
         raise IntegrationError(f"class(es) absent from the training split: {missing}")
-    experts = []
+    experts = []  # experts[class] -> per-modality binary GbmModels
     for cls in range(n_classes):
         y_bin = (labels == cls).astype(np.intp)
         expert_tables = list(tables)
@@ -850,18 +739,16 @@ def fit_moe(
             expert_tables, y_fit = smote_balance_tables(
                 expert_tables, y_bin, k=spec.smote_k, seed=seed + 3001 * cls
             )
-        w = _uniform_weights(len(y_fit))
-        models = [
-            fit_gbm(
-                t.values, y_fit, w, spec.base,
-                seed=seed + 3001 * cls + 17 * i, n_classes=2,
-            )
-            for i, t in enumerate(expert_tables)
-        ]
-        experts.append(models)
-    out = MoeIntegrator(spec, [t.modality_name for t in tables], experts, n_classes)
-    out._feature_names = [list(t.feature_names) for t in tables]
-    return out
+        values = [t.values for t in expert_tables]
+        w = np.ones(len(y_fit))
+        experts.append(_fit_per_modality(values, y_fit, w, spec.base, seed + 3001 * cls, 2))
+    importances = [
+        sum(models[m].feature_importances_ for models in experts) / n_classes
+        for m in range(len(tables))
+    ]
+    return _fitted(
+        spec, tables, importances, partial(_predict_moe, experts=experts, n_classes=n_classes)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +762,7 @@ def fit_integrator(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
-):
+) -> FittedIntegrator:
     """Fit the strategy named by spec.kind on the given modality subset."""
     if spec.modalities is not None:
         tables = _select_tables(tables, spec.modalities)
@@ -893,6 +780,8 @@ def fit_integrator(
     if spec.kind == "MOE-COMBN":
         return fit_moe(tables, labels, spec, n_classes, seed)
     raise IntegrationError(f"unknown integrator kind {spec.kind!r}")
+
+
 
 
 # ---------------------------------------------------------------------------
