@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
@@ -31,32 +32,32 @@ def _fail(message: str) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """CLI flags and environment variables override config keys one-to-one."""
+    """CLI flags and environment variables override config keys one-to-one;
+    the config's own checks run again on the result."""
     env_out = os.environ.get("LATEFUSE_OUTPUT_DIR")
     env_par = os.environ.get("LATEFUSE_PARALLELISM")
-    if env_out:
-        cfg.output_dir = env_out
+    top = {"output_dir": env_out} if env_out else {}
     if env_par:
-        cfg.parallelism = int(env_par)
-    for key in ("output_dir", "seed", "parallelism", "repeats", "folds"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.raw["output_dir"] = cfg.output_dir
-    cfg.raw["seed"] = cfg.seed
-    cfg.raw["parallelism"] = cfg.parallelism
-    cfg.raw["folds"] = {"repeats": cfg.repeats, "folds": cfg.folds}
-    return cfg
+        try:
+            top["parallelism"] = int(env_par)
+        except ValueError:
+            raise ConfigError(
+                f"parallelism: LATEFUSE_PARALLELISM must be an integer, got {env_par!r}"
+            ) from None
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    top.update({k: flags[k] for k in ("output_dir", "seed", "parallelism") if k in flags})
+    folds = replace(cfg.folds, **{k: flags[k] for k in ("repeats", "folds") if k in flags})
+    return replace(cfg, folds=folds, **top)
 
 
 def _load_or_generate(cfg: ExperimentConfig):
     if cfg.synth is not None:
         dataset, _ = generate(cfg.synth)
         return dataset
-    files = cfg.dataset_files
-    tokens = cfg.missing_tokens
+    files = cfg.dataset
+    tokens = files.missing_tokens
     kwargs = {"missing_tokens": tokens} if tokens is not None else {}
-    return load_dataset(files["modalities"], files["labels"], **kwargs)
+    return load_dataset([(m.name, m.path) for m in files.modalities], files.labels, **kwargs)
 
 
 def _safe_name(label: str) -> str:
@@ -113,7 +114,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         dataset = _load_or_generate(cfg)
-        plan = make_fold_plan(dataset.labels, cfg.repeats, cfg.folds, cfg.seed)
+        plan = make_fold_plan(dataset.labels, cfg.folds.repeats, cfg.folds.folds, cfg.seed)
         report = run_cv_benchmark(
             dataset,
             plan,
@@ -153,9 +154,9 @@ def cmd_incremental(args: argparse.Namespace) -> int:
         result = incremental_select(
             dataset,
             cfg.preprocess,
-            base=cfg.incremental_base,
-            margin=cfg.incremental_margin,
-            inner_folds=cfg.incremental_inner_folds,
+            base=cfg.incremental.base,
+            margin=cfg.incremental.margin,
+            inner_folds=cfg.incremental.inner_folds,
             seed=cfg.seed,
         )
         out_dir = Path(cfg.output_dir)
@@ -175,7 +176,7 @@ def cmd_incremental(args: argparse.Namespace) -> int:
 
         # Table-style comparison: every configured method on all modalities
         # versus the selected subset.
-        plan = make_fold_plan(dataset.labels, cfg.repeats, cfg.folds, cfg.seed)
+        plan = make_fold_plan(dataset.labels, cfg.folds.repeats, cfg.folds.folds, cfg.seed)
         full = run_cv_benchmark(
             dataset, plan, cfg.methods, cfg.preprocess, seed=cfg.seed,
             n_jobs=cfg.parallelism,

@@ -1,375 +1,195 @@
-"""Experiment configuration: a strict JSON schema with defaults filled at
-parse time. Unknown keys anywhere are an error, and the fully resolved config
-is echoed into the run report so results are reproducible from the report
-alone."""
+"""Experiment configuration: one strict JSON schema, read off the dataclasses.
+
+Each section of the JSON config is a frozen dataclass, and its fields are the
+schema: the field names are the accepted keys, the annotations their types and
+the field defaults their defaults. `_build` parses a section against them and
+`_echo` is its inverse. Unknown keys anywhere are an error, `null` is valid
+only for optional keys, booleans are not numbers, and an integer is accepted
+where a float is expected. The fully resolved config is echoed into the run
+report, and parsing that echo gives back the same config, so a run is
+reproducible from its report alone."""
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .integrators import INTEGRATOR_KINDS, IntegratorSpec
-from .learners import GbmParams, RandomForestParams
-from .preprocess import CPM_LOG, STANDARDIZE, PreprocessConfig
-from .synth import ModalitySpec, SynthSpec
+from .integrators import IntegrationError, IntegratorSpec
+from .learners import GbmParams
+from .preprocess import PreprocessConfig, PreprocessError
+from .synth import SynthError, SynthSpec
 
 
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+@dataclass(frozen=True)
+class FoldsConfig:
+    repeats: int = 5
+    folds: int = 5
 
 
-def _get(section: dict, key: str, default: Any, types: tuple, where: str) -> Any:
-    value = section.get(key, default)
-    if value is not None and not isinstance(value, types):
-        raise ConfigError(f"{where}.{key}: expected {types}, got {type(value).__name__}")
-    return value
+@dataclass(frozen=True)
+class IncrementalConfig:
+    margin: float = 0.01
+    inner_folds: int = 3
+    base: GbmParams = GbmParams()
 
 
-def _parse_gbm(section: Optional[dict], where: str) -> GbmParams:
-    if section is None:
-        return GbmParams()
-    _check_keys(
-        section, {"n_rounds", "learning_rate", "max_depth", "min_leaf", "subsample"}, where
-    )
-    return GbmParams(
-        n_rounds=_get(section, "n_rounds", 100, (int,), where),
-        learning_rate=float(_get(section, "learning_rate", 0.1, (int, float), where)),
-        max_depth=_get(section, "max_depth", 3, (int,), where),
-        min_leaf=_get(section, "min_leaf", 2, (int,), where),
-        subsample=float(_get(section, "subsample", 1.0, (int, float), where)),
-    )
+@dataclass(frozen=True)
+class DatasetModality:
+    name: str
+    path: str
 
 
-def _parse_forest(section: Optional[dict], where: str) -> RandomForestParams:
-    if section is None:
-        return RandomForestParams()
-    _check_keys(section, {"n_trees", "max_depth", "min_leaf", "bootstrap", "max_features"}, where)
-    return RandomForestParams(
-        n_trees=_get(section, "n_trees", 100, (int,), where),
-        max_depth=_get(section, "max_depth", 16, (int,), where),
-        min_leaf=_get(section, "min_leaf", 1, (int,), where),
-        bootstrap=_get(section, "bootstrap", True, (bool,), where),
-        max_features=_get(section, "max_features", "sqrt", (str,), where),
-    )
+@dataclass(frozen=True)
+class DatasetFiles:
+    modalities: tuple[DatasetModality, ...]
+    labels: str
+    missing_tokens: Optional[tuple[str, ...]] = None  # None = data.DEFAULT_MISSING_TOKENS
+
+    def __post_init__(self) -> None:
+        if not self.modalities:
+            raise ConfigError("modalities must be a non-empty list")
+        if not self.labels:
+            raise ConfigError("labels must name the labels file")
 
 
-def _parse_method(section: dict, index: int) -> IntegratorSpec:
-    where = f"methods[{index}]"
-    _check_keys(
-        section,
-        {
-            "kind", "name", "modalities", "base", "boosting_rounds",
-            "soft_confidence_ratio", "inner_folds", "ada_inner_folds",
-            "meta_forest", "expert_smote", "smote_k",
-        },
-        where,
-    )
-    kind = section.get("kind")
-    if kind not in INTEGRATOR_KINDS:
-        raise ConfigError(f"{where}.kind must be one of {INTEGRATOR_KINDS}, got {kind!r}")
-    modalities = section.get("modalities")
-    if modalities is not None:
-        if not isinstance(modalities, list) or not all(isinstance(m, str) for m in modalities):
-            raise ConfigError(f"{where}.modalities must be a list of names")
-        modalities = tuple(modalities)
-    return IntegratorSpec(
-        kind=kind,
-        name=_get(section, "name", None, (str,), where),
-        modalities=modalities,
-        base=_parse_gbm(section.get("base"), f"{where}.base"),
-        boosting_rounds=_get(section, "boosting_rounds", 20, (int,), where),
-        soft_confidence_ratio=float(
-            _get(section, "soft_confidence_ratio", 2.0, (int, float), where)
-        ),
-        inner_folds=_get(section, "inner_folds", 5, (int,), where),
-        ada_inner_folds=_get(section, "ada_inner_folds", 3, (int,), where),
-        meta_forest=_parse_forest(section.get("meta_forest"), f"{where}.meta_forest"),
-        expert_smote=_get(section, "expert_smote", True, (bool,), where),
-        smote_k=_get(section, "smote_k", 5, (int,), where),
-    )
-
-
-def _parse_preprocess(section: Optional[dict]) -> PreprocessConfig:
-    if section is None:
-        return PreprocessConfig()
-    where = "preprocess"
-    _check_keys(
-        section,
-        {
-            "max_missing_fraction", "max_zero_fraction", "correlation_threshold",
-            "variance_cap", "dimensionality_ratio_trigger", "knn_k", "smote_k",
-            "smote_enabled", "normalization", "default_normalization",
-        },
-        where,
-    )
-    normalization = section.get("normalization", {})
-    if not isinstance(normalization, dict):
-        raise ConfigError("preprocess.normalization must map modality name -> kind")
-    for name, kind in normalization.items():
-        if kind not in (STANDARDIZE, CPM_LOG):
-            raise ConfigError(f"preprocess.normalization[{name!r}]: unknown kind {kind!r}")
-    return PreprocessConfig(
-        max_missing_fraction=float(
-            _get(section, "max_missing_fraction", 0.5, (int, float), where)
-        ),
-        max_zero_fraction=float(_get(section, "max_zero_fraction", 0.9, (int, float), where)),
-        correlation_threshold=float(
-            _get(section, "correlation_threshold", 0.9, (int, float), where)
-        ),
-        variance_cap=_get(section, "variance_cap", 500, (int,), where),
-        dimensionality_ratio_trigger=float(
-            _get(section, "dimensionality_ratio_trigger", 10.0, (int, float), where)
-        ),
-        knn_k=_get(section, "knn_k", 5, (int,), where),
-        smote_k=_get(section, "smote_k", 5, (int,), where),
-        smote_enabled=_get(section, "smote_enabled", True, (bool,), where),
-        normalization=dict(normalization),
-        default_normalization=_get(
-            section, "default_normalization", STANDARDIZE, (str,), where
-        ),
-    )
-
-
-def _parse_synth(section: dict, default_seed: int) -> SynthSpec:
-    where = "synth"
-    _check_keys(
-        section,
-        {"n_samples", "n_classes", "modalities", "class_weights", "class_names", "seed"},
-        where,
-    )
-    modalities = section.get("modalities")
-    if not isinstance(modalities, list) or not modalities:
-        raise ConfigError("synth.modalities must be a non-empty list")
-    specs = []
-    for i, m in enumerate(modalities):
-        mwhere = f"synth.modalities[{i}]"
-        _check_keys(
-            m,
-            {
-                "name", "n_features", "n_informative", "separation", "missing_fraction",
-                "zero_fraction", "count_valued", "informative_classes",
-            },
-            mwhere,
-        )
-        informative_classes = m.get("informative_classes")
-        specs.append(
-            ModalitySpec(
-                name=_get(m, "name", f"M{i}", (str,), mwhere),
-                n_features=_get(m, "n_features", 50, (int,), mwhere),
-                n_informative=_get(m, "n_informative", 5, (int,), mwhere),
-                separation=float(_get(m, "separation", 1.0, (int, float), mwhere)),
-                missing_fraction=float(_get(m, "missing_fraction", 0.0, (int, float), mwhere)),
-                zero_fraction=float(_get(m, "zero_fraction", 0.0, (int, float), mwhere)),
-                count_valued=_get(m, "count_valued", False, (bool,), mwhere),
-                informative_classes=(
-                    tuple(informative_classes) if informative_classes is not None else None
-                ),
-            )
-        )
-    class_weights = section.get("class_weights")
-    class_names = section.get("class_names")
-    return SynthSpec(
-        n_samples=_get(section, "n_samples", 100, (int,), where),
-        n_classes=_get(section, "n_classes", 4, (int,), where),
-        modalities=tuple(specs),
-        class_weights=tuple(class_weights) if class_weights is not None else None,
-        class_names=tuple(class_names) if class_names is not None else None,
-        seed=_get(section, "seed", default_seed, (int,), where),
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int
-    output_dir: str
-    parallelism: int
-    repeats: int
-    folds: int
-    methods: list
-    preprocess: PreprocessConfig
-    dataset_files: Optional[dict] = None  # {"modalities": [(name, path)], "labels": path}
+    seed: int = 0
+    output_dir: str = "out"
+    parallelism: int = 1
+    folds: FoldsConfig = FoldsConfig()
+    methods: tuple[IntegratorSpec, ...] = (IntegratorSpec(kind="ENS-S"),)
+    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
+    incremental: IncrementalConfig = IncrementalConfig()
+    dataset: Optional[DatasetFiles] = None
     synth: Optional[SynthSpec] = None
-    missing_tokens: Optional[list] = None
-    incremental_margin: float = 0.01
-    incremental_inner_folds: int = 3
-    incremental_base: GbmParams = field(default_factory=GbmParams)
-    raw: dict = field(default_factory=dict)  # resolved echo for the report
+
+    def __post_init__(self) -> None:
+        if self.parallelism < 1:
+            raise ConfigError("parallelism: must be >= 1")
+        if not self.methods:
+            raise ConfigError("methods: must be a non-empty list")
+        # The report label is the method's name from here on, so the echo
+        # names every method and re-parses to an equal config.
+        object.__setattr__(
+            self, "methods", tuple(replace(m, name=m.label) for m in self.methods)
+        )
+        labels = [m.name for m in self.methods]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"methods: duplicate method labels {labels}; set distinct names")
+        if (self.dataset is None) == (self.synth is None):
+            raise ConfigError("config must set exactly one of dataset or synth")
 
     def resolved_dict(self) -> dict:
-        return self.raw
+        """The exact configuration the run uses, defaults filled."""
+        return _echo(self)
+
+
+_JSON_NAMES = {
+    type(None): "null", bool: "boolean", int: "integer", float: "number",
+    str: "string", list: "list", tuple: "list", dict: "object",
+}
+
+
+# Evaluating the string annotations would otherwise dominate a parse.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _json_name(tp: Any) -> str:
+    tp = typing.get_origin(tp) or tp
+    return "object" if is_dataclass(tp) else _JSON_NAMES.get(tp, str(tp))
+
+
+def _value(tp: Any, value: Any, where: str) -> Any:
+    """Check one JSON value against a field annotation and convert it."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _value(tp, value, where)
+    if is_dataclass(tp):
+        return _build(tp, value, where)
+    if origin is tuple:
+        if isinstance(value, list):
+            return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {k: _value(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
+    elif tp is float and type(value) is int:
+        return float(value)
+    elif isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{where}: expected {_json_name(tp)}, got {_json_name(type(value))}")
+
+
+def _build(cls: type, section: Any, where: str) -> Any:
+    """Parse one JSON object into the dataclass `cls`: its fields are the
+    accepted keys, and a key left out takes the field's default."""
+    if not isinstance(section, dict):
+        got = _json_name(type(section))
+        raise ConfigError(f"{where or 'config'}: expected an object, got {got}")
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where or 'config'}: unknown key(s) {unknown}")
+    hints = _type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if f.name in section:
+            kwargs[f.name] = _value(hints[f.name], section[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: required")
+    try:
+        return cls(**kwargs)
+    except (ConfigError, IntegrationError, PreprocessError, SynthError) as e:
+        raise ConfigError(f"{where}: {e}" if where else str(e)) from None
+
+
+def _echo(value: Any) -> Any:
+    """The JSON form of a parsed config section: the inverse of `_build`."""
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _echo(v) for k, v in value.items()}
+    return value
 
 
 def parse_config(data: dict, config_dir: Optional[Path] = None) -> ExperimentConfig:
     """Validate a config dict and fill defaults. Relative dataset paths are
     resolved against the config file's directory when given."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(
-        data,
-        {
-            "seed", "output_dir", "parallelism", "dataset", "synth",
-            "preprocess", "folds", "methods", "incremental",
-        },
-        "config",
-    )
-    seed = _get(data, "seed", 0, (int,), "config")
-    output_dir = _get(data, "output_dir", "out", (str,), "config")
-    parallelism = _get(data, "parallelism", 1, (int,), "config")
-    if parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
+    synth = data.get("synth") if isinstance(data, dict) else None
+    if isinstance(synth, dict):
+        # The two defaults that depend on context: synth.seed is the file's
+        # seed, and an unnamed synthetic modality is named after its position.
+        synth = {"seed": data.get("seed", ExperimentConfig.seed), **synth}
+        if isinstance(synth.get("modalities"), list):
+            synth["modalities"] = [
+                {"name": f"M{i}", **m} if isinstance(m, dict) else m
+                for i, m in enumerate(synth["modalities"])
+            ]
+        data = {**data, "synth": synth}
+    cfg = _build(ExperimentConfig, data, "")
+    if cfg.dataset is None:
+        return cfg
 
-    folds_section = data.get("folds", {})
-    _check_keys(folds_section, {"repeats", "folds"}, "folds")
-    repeats = _get(folds_section, "repeats", 5, (int,), "folds")
-    folds = _get(folds_section, "folds", 5, (int,), "folds")
+    def resolve(path: str) -> str:
+        return str(Path(config_dir or ".") / path)
 
-    methods_section = data.get("methods", [{"kind": "ENS-S"}])
-    if not isinstance(methods_section, list) or not methods_section:
-        raise ConfigError("methods must be a non-empty list")
-    methods = [_parse_method(m, i) for i, m in enumerate(methods_section)]
-    labels = [m.label for m in methods]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"duplicate method labels: {labels}; set distinct names")
-
-    dataset_files = None
-    missing_tokens = None
-    synth = None
-    if "dataset" in data and "synth" in data:
-        raise ConfigError("config must set either dataset or synth, not both")
-    if "dataset" in data:
-        ds = data["dataset"]
-        _check_keys(ds, {"modalities", "labels", "missing_tokens"}, "dataset")
-        mods = ds.get("modalities")
-        if not isinstance(mods, list) or not mods:
-            raise ConfigError("dataset.modalities must be a non-empty list")
-        pairs = []
-        for i, m in enumerate(mods):
-            _check_keys(m, {"name", "path"}, f"dataset.modalities[{i}]")
-            if "name" not in m or "path" not in m:
-                raise ConfigError(f"dataset.modalities[{i}] needs name and path")
-            path = Path(m["path"])
-            if config_dir is not None and not path.is_absolute():
-                path = config_dir / path
-            pairs.append((m["name"], str(path)))
-        labels_path = ds.get("labels")
-        if not labels_path:
-            raise ConfigError("dataset.labels is required")
-        labels_path = Path(labels_path)
-        if config_dir is not None and not labels_path.is_absolute():
-            labels_path = config_dir / labels_path
-        dataset_files = {"modalities": pairs, "labels": str(labels_path)}
-        missing_tokens = ds.get("missing_tokens")
-    elif "synth" in data:
-        synth = _parse_synth(data["synth"], seed)
-    else:
-        raise ConfigError("config must set dataset or synth")
-
-    inc = data.get("incremental", {})
-    _check_keys(inc, {"margin", "inner_folds", "base"}, "incremental")
-
-    cfg = ExperimentConfig(
-        seed=seed,
-        output_dir=output_dir,
-        parallelism=parallelism,
-        repeats=repeats,
-        folds=folds,
-        methods=methods,
-        preprocess=_parse_preprocess(data.get("preprocess")),
-        dataset_files=dataset_files,
-        synth=synth,
-        missing_tokens=missing_tokens,
-        incremental_margin=float(_get(inc, "margin", 0.01, (int, float), "incremental")),
-        incremental_inner_folds=_get(inc, "inner_folds", 3, (int,), "incremental"),
-        incremental_base=_parse_gbm(inc.get("base"), "incremental.base"),
-    )
-    cfg.raw = _resolve_echo(cfg, data)
-    return cfg
-
-
-def _resolve_echo(cfg: ExperimentConfig, original: dict) -> dict:
-    """The exact configuration the run will use, defaults filled."""
-    echo: dict = {
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "parallelism": cfg.parallelism,
-        "folds": {"repeats": cfg.repeats, "folds": cfg.folds},
-        "preprocess": {
-            "max_missing_fraction": cfg.preprocess.max_missing_fraction,
-            "max_zero_fraction": cfg.preprocess.max_zero_fraction,
-            "correlation_threshold": cfg.preprocess.correlation_threshold,
-            "variance_cap": cfg.preprocess.variance_cap,
-            "dimensionality_ratio_trigger": cfg.preprocess.dimensionality_ratio_trigger,
-            "knn_k": cfg.preprocess.knn_k,
-            "smote_k": cfg.preprocess.smote_k,
-            "smote_enabled": cfg.preprocess.smote_enabled,
-            "normalization": cfg.preprocess.normalization,
-            "default_normalization": cfg.preprocess.default_normalization,
-        },
-        "methods": [
-            {
-                "kind": m.kind,
-                "name": m.label,
-                "modalities": list(m.modalities) if m.modalities else None,
-                "base": {
-                    "n_rounds": m.base.n_rounds,
-                    "learning_rate": m.base.learning_rate,
-                    "max_depth": m.base.max_depth,
-                    "min_leaf": m.base.min_leaf,
-                    "subsample": m.base.subsample,
-                },
-                "boosting_rounds": m.boosting_rounds,
-                "soft_confidence_ratio": m.soft_confidence_ratio,
-                "inner_folds": m.inner_folds,
-                "ada_inner_folds": m.ada_inner_folds,
-                "expert_smote": m.expert_smote,
-                "smote_k": m.smote_k,
-            }
-            for m in cfg.methods
-        ],
-        "incremental": {
-            "margin": cfg.incremental_margin,
-            "inner_folds": cfg.incremental_inner_folds,
-        },
-    }
-    if cfg.dataset_files is not None:
-        echo["dataset"] = {
-            "modalities": [{"name": n, "path": p} for n, p in cfg.dataset_files["modalities"]],
-            "labels": cfg.dataset_files["labels"],
-        }
-        if cfg.missing_tokens is not None:
-            echo["dataset"]["missing_tokens"] = list(cfg.missing_tokens)
-    if cfg.synth is not None:
-        echo["synth"] = {
-            "n_samples": cfg.synth.n_samples,
-            "n_classes": cfg.synth.n_classes,
-            "seed": cfg.synth.seed,
-            "class_weights": list(cfg.synth.class_weights) if cfg.synth.class_weights else None,
-            "class_names": list(cfg.synth.class_names) if cfg.synth.class_names else None,
-            "modalities": [
-                {
-                    "name": m.name,
-                    "n_features": m.n_features,
-                    "n_informative": m.n_informative,
-                    "separation": m.separation,
-                    "missing_fraction": m.missing_fraction,
-                    "zero_fraction": m.zero_fraction,
-                    "count_valued": m.count_valued,
-                    "informative_classes": (
-                        list(m.informative_classes) if m.informative_classes else None
-                    ),
-                }
-                for m in cfg.synth.modalities
-            ],
-        }
-    return echo
+    ds = cfg.dataset
+    mods = tuple(replace(m, path=resolve(m.path)) for m in ds.modalities)
+    return replace(cfg, dataset=replace(ds, modalities=mods, labels=resolve(ds.labels)))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -33,7 +33,7 @@ class PreprocessConfig:
     knn_k: int = 5
     smote_k: int = 5
     smote_enabled: bool = True
-    normalization: dict = field(default_factory=dict)  # modality name -> kind
+    normalization: dict[str, str] = field(default_factory=dict)  # modality name -> kind
     default_normalization: str = STANDARDIZE
 
     def __post_init__(self) -> None:

@@ -27,8 +27,8 @@ class SynthError(Exception):
 @dataclass(frozen=True)
 class ModalitySpec:
     name: str
-    n_features: int
-    n_informative: int
+    n_features: int = 50
+    n_informative: int = 5
     separation: float = 1.0  # effect magnitude in noise-sd units
     missing_fraction: float = 0.0
     zero_fraction: float = 0.0
@@ -46,9 +46,9 @@ class ModalitySpec:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_samples: int
-    n_classes: int
-    modalities: tuple  # tuple[ModalitySpec, ...]
+    modalities: tuple[ModalitySpec, ...]
+    n_samples: int = 100
+    n_classes: int = 4
     class_weights: Optional[tuple[float, ...]] = None
     class_names: Optional[tuple[str, ...]] = None
     seed: int = 0
