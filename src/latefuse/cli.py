@@ -60,6 +60,17 @@ def _load_or_generate(cfg: ExperimentConfig):
     return load_dataset([(m.name, m.path) for m in files.modalities], files.labels, **kwargs)
 
 
+def _check_method_modalities(cfg: ExperimentConfig, dataset) -> None:
+    """A method's modality subset must name modalities of the loaded data."""
+    names = [m.modality_name for m in dataset.modalities]
+    for i, spec in enumerate(cfg.methods):
+        unknown = [m for m in spec.modalities or () if m not in names]
+        if unknown:
+            raise ConfigError(
+                f"methods[{i}].modalities: no modality {unknown[0]!r} in the dataset {names}"
+            )
+
+
 def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
@@ -114,6 +125,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         dataset = _load_or_generate(cfg)
+        _check_method_modalities(cfg, dataset)
         plan = make_fold_plan(dataset.labels, cfg.folds.repeats, cfg.folds.folds, cfg.seed)
         report = run_cv_benchmark(
             dataset,
@@ -149,6 +161,7 @@ def cmd_incremental(args: argparse.Namespace) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         dataset = _load_or_generate(cfg)
+        _check_method_modalities(cfg, dataset)
         if len(dataset.modalities) < 2:
             return _fail("incremental selection needs at least 2 modalities")
         result = incremental_select(

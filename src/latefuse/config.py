@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .integrators import IntegrationError, IntegratorSpec
-from .learners import GbmParams
+from .learners import GbmParams, LearnerError
 from .preprocess import PreprocessConfig, PreprocessError
 from .synth import SynthError, SynthSpec
 
@@ -74,6 +74,8 @@ class ExperimentConfig:
     synth: Optional[SynthSpec] = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if self.parallelism < 1:
             raise ConfigError("parallelism: must be >= 1")
         if not self.methods:
@@ -151,8 +153,11 @@ def _build(cls: type, section: Any, where: str) -> Any:
             raise ConfigError(f"{path}: required")
     try:
         return cls(**kwargs)
-    except (ConfigError, IntegrationError, PreprocessError, SynthError) as e:
-        raise ConfigError(f"{where}: {e}" if where else str(e)) from None
+    except (ConfigError, IntegrationError, LearnerError, PreprocessError, SynthError) as e:
+        # "<field>: <cause>" from a section's own checks extends the key path
+        names = {f.name for f in fields(cls)}
+        sep = "." if str(e).split(":", 1)[0] in names else ": "
+        raise ConfigError(f"{where}{sep}{e}" if where else str(e)) from None
 
 
 def _echo(value: Any) -> Any:

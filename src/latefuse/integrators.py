@@ -82,11 +82,15 @@ class IntegratorSpec:
         if self.kind not in INTEGRATOR_KINDS:
             raise IntegrationError(f"unknown integrator kind {self.kind!r}")
         if self.boosting_rounds < 1:
-            raise IntegrationError("boosting_rounds must be >= 1")
+            raise IntegrationError("boosting_rounds: must be >= 1")
         if self.soft_confidence_ratio <= 1.0:
-            raise IntegrationError("soft_confidence_ratio must exceed 1")
+            raise IntegrationError("soft_confidence_ratio: must exceed 1")
         if self.modalities is not None and len(self.modalities) == 0:
             raise IntegrationError("empty modality subset")
+        if self.inner_folds < 2:
+            raise IntegrationError("inner_folds: must be >= 2")
+        if self.ada_inner_folds < 2:
+            raise IntegrationError("ada_inner_folds: must be >= 2")
 
     @property
     def label(self) -> str:

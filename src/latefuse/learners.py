@@ -10,6 +10,16 @@ All learners share the same conventions:
 * feature importance is total weighted impurity decrease per feature,
   normalized to sum to 1 (all zero when no split exists);
 * fits are deterministic functions of (data, params, seed).
+
+Split search is exact and has one implementation, `_TreeBuilder`, shared by
+`fit_tree`, the forest and the GBM. The GBM does each piece of tree work
+once: the class trees of a round share their root's `_SplitState` (the
+stable column sort and what split search derives from it and the weights),
+and the builder returns every training row's leaf, routed by the same
+x <= threshold rule as `DecisionTree.apply`, so fitting walks no tree.
+`DecisionTree.apply` is the only tree walker and takes several roots:
+prediction stacks a model's trees into one flat tree and walks them all in
+one call, then adds the per-tree values in fitting order.
 """
 
 from __future__ import annotations
@@ -117,23 +127,54 @@ class DecisionTree:
     n_features: int
     task: str
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index for every row."""
+    def apply(self, X: np.ndarray, roots: Optional[np.ndarray] = None) -> np.ndarray:
+        """Leaf node index for every row. With `roots`, the walk starts at
+        each of those nodes and the result is an (n_rows, len(roots)) matrix:
+        one call walks every tree of a `stack`."""
         X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(len(X), dtype=np.intp)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                return node
-            rows = np.flatnonzero(active)
-            f = feat[rows]
-            go_left = X[rows, f] <= self.threshold[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
+        starts = np.zeros(1, dtype=np.intp) if roots is None else np.asarray(roots, dtype=np.intp)
+        n_rows = len(X)
+        node = np.tile(starts, n_rows)
+        row = np.repeat(np.arange(n_rows), len(starts))
+        live = np.arange(len(node))
+        while len(live):
+            at = node[live]
+            feat = self.feature[at]
+            inner = feat >= 0
+            live, at, feat = live[inner], at[inner], feat[inner]
+            go_left = X[row[live], feat] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+        return node if roots is None else node.reshape(n_rows, len(starts))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         leaves = self.apply(X)
         return self.leaf_values[leaves]
+
+    @classmethod
+    def stack(cls, trees: list) -> tuple["DecisionTree", np.ndarray]:
+        """All of `trees` as one flat tree, and the node where each starts."""
+        sizes = [t.n_nodes for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+
+        def cat(name):
+            return np.concatenate([getattr(t, name) for t in trees])
+
+        left, right = cat("left"), cat("right")
+        is_leaf = left < 0
+        return (
+            cls(
+                feature=cat("feature"),
+                threshold=cat("threshold"),
+                left=np.where(is_leaf, -1, left + offset),
+                right=np.where(is_leaf, -1, right + offset),
+                leaf_values=cat("leaf_values"),
+                raw_importance=np.sum([t.raw_importance for t in trees], axis=0),
+                n_features=trees[0].n_features,
+                task=trees[0].task,
+            ),
+            roots,
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -150,12 +191,44 @@ class DecisionTree:
         }
 
 
+class _SplitState:
+    """The part of a node's split search that does not depend on its
+    targets: its rows in each candidate column's sorted order (`S`), the
+    sorted values and weights, the weight cumsum, and where a threshold may
+    fall (between distinct neighbours, `min_leaf` rows and positive weight on
+    each side). Trees fitted on the same rows and weights share their root's.
+    """
+
+    def __init__(self, X, w, sorted_idx, cols, min_leaf):
+        """X is C-contiguous; cols are ascending column indices."""
+        self.cols = cols
+        all_cols = len(cols) == X.shape[1]
+        self.S = S = sorted_idx if all_cols else sorted_idx[:, cols]
+        self.Xs = Xs = X.take(S * X.shape[1] + cols)  # X[S, cols], flat gather
+        self.Ws = w[S]
+        self.cw = cw = self.Ws.cumsum(axis=0)
+        self.WL = WL = cw[:-1]
+        self.WR = WR = cw[-1] - WL
+        valid = Xs[:-1] < Xs[1:]
+        valid &= WL > 0
+        valid &= WR > 0
+        valid[: max(min_leaf - 1, 0)] = False  # fewer than min_leaf rows on the left
+        valid[max(len(S) - min_leaf, 0) :] = False  # ... or on the right
+        self.valid = valid
+
+
 class _TreeBuilder:
     """Recursive greedy CART builder over a dense matrix.
 
-    Columns are sorted once at the root; child nodes inherit their sorted
-    order by a stable mask partition instead of re-sorting, which keeps split
-    search O(n * n_features) per level.
+    Columns are sorted once at the root; a child inherits its sorted order by
+    a stable mask partition instead of re-sorting, which keeps split search
+    O(n * n_features) per level. Only a child that can still split gets the
+    partition of every column; a leaf needs at most its first column.
+
+    `build()` gives a tree with node values (fit_tree, forests).
+    `build_leaves()` is fit_gbm's: it takes the root's `_SplitState` from the
+    caller, computes no node values, and instead routes every row of X to its
+    leaf by the rule of `DecisionTree.apply`, x <= threshold.
     """
 
     def __init__(
@@ -164,17 +237,16 @@ class _TreeBuilder:
         y,
         w,
         params: TreeParams,
-        rng: Optional[np.random.Generator],
-        sorted_root: Optional[np.ndarray] = None,
+        rng: Optional[np.random.Generator] = None,
+        root: Optional[_SplitState] = None,
     ):
         self.X = X
         self.y = y
         self.w = w
         self.params = params
         self.rng = rng
-        self.sorted_root = (
-            sorted_root if sorted_root is not None else np.argsort(X, axis=0, kind="stable")
-        )
+        self.root = root
+        self.leaf_of: Optional[np.ndarray] = None
         self.n_classes = params.n_classes
         if params.task == "classification":
             if self.n_classes is None:
@@ -186,13 +258,27 @@ class _TreeBuilder:
         self.right: list[int] = []
         self.values: list = []
         self.importance = np.zeros(X.shape[1], dtype=np.float64)
+        self.all_cols = np.arange(X.shape[1], dtype=np.intp)
 
     def build(self) -> DecisionTree:
-        self._grow(self.sorted_root, depth=0)
+        sorted_root = np.argsort(self.X, axis=0, kind="stable")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._grow(sorted_root, None, len(sorted_root), 0, None)
         if self.params.task == "regression":
             leaf_values = np.array(self.values, dtype=np.float64)
         else:
             leaf_values = np.array(self.values, dtype=np.float64).reshape(-1, self.n_classes)
+        return self._tree(leaf_values)
+
+    def build_leaves(self) -> tuple[DecisionTree, np.ndarray]:
+        """The tree without node values, and the leaf of every row of X."""
+        self.leaf_of = np.empty(len(self.X), dtype=np.intp)
+        S = self.root.S
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._grow(S, None, len(S), 0, np.arange(len(self.X)))
+        return self._tree(np.zeros(0)), self.leaf_of
+
+    def _tree(self, leaf_values) -> DecisionTree:
         return DecisionTree(
             feature=np.array(self.feature, dtype=np.intp),
             threshold=np.array(self.threshold, dtype=np.float64),
@@ -225,77 +311,87 @@ class _TreeBuilder:
         if total <= 0:
             return 0.0
         if self.params.task == "regression":
-            s = np.dot(w, self.y[idx])
-            q = np.dot(w, self.y[idx] ** 2)
+            y = self.y[idx]
+            s = np.dot(w, y)
+            q = np.dot(w, y**2)
             return float(q - s * s / total)
         s = (w[:, None] * self.y_onehot[idx]).sum(axis=0)
         return float(total - np.dot(s, s) / total)
 
-    def _add_leaf(self, idx) -> int:
-        node_id = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.values.append(self._node_value(idx))
-        return node_id
-
-    def _grow(self, sorted_idx: np.ndarray, depth: int) -> int:
-        params = self.params
-        idx = sorted_idx[:, 0]
-        if (
-            depth >= params.max_depth
-            or len(idx) < 2 * params.min_leaf
-            or self._impurity(idx) <= _GAIN_TOL
-        ):
-            return self._add_leaf(idx)
-
-        split = self._best_split(sorted_idx)
-        if split is None:
-            return self._add_leaf(idx)
-        feat, thr, gain, left_sorted, right_sorted = split
-
+    def _add_node(self, feat: int, thr: float, idx) -> int:
         node_id = len(self.feature)
         self.feature.append(feat)
         self.threshold.append(thr)
         self.left.append(-1)
         self.right.append(-1)
-        self.values.append(self._node_value(idx))
-        self.importance[feat] += max(gain, 0.0)
+        if self.leaf_of is None:
+            self.values.append(self._node_value(idx))
+        return node_id
 
-        self.left[node_id] = self._grow(left_sorted, depth + 1)
-        self.right[node_id] = self._grow(right_sorted, depth + 1)
+    def _add_leaf(self, idx, route) -> int:
+        node_id = self._add_node(-1, 0.0, idx)
+        if self.leaf_of is not None:
+            self.leaf_of[route] = node_id
+        return node_id
+
+    def _grow(self, sorted_idx, member, size: int, depth: int, route) -> int:
+        """Grow the node whose `size` rows are those of `sorted_idx` (rows
+        in every column's sorted order) that `member` marks, or all of them
+        when `member` is None. `route` holds the rows of X that reach the
+        node by the x <= threshold rule (build_leaves only)."""
+        params = self.params
+        can_split = depth < params.max_depth and size >= 2 * params.min_leaf
+        idx = None
+        if can_split or self.leaf_of is None:
+            idx = sorted_idx[:, 0]
+            if member is not None:
+                idx = idx[member[idx]]
+        if not can_split or self._impurity(idx) <= _GAIN_TOL:
+            return self._add_leaf(idx, route)
+
+        if member is not None:
+            mask = member[sorted_idx]
+            sorted_idx = sorted_idx.T[mask.T].reshape(sorted_idx.shape[1], size).T
+        split = self._best_split(sorted_idx, self.root if depth == 0 else None)
+        if split is None:
+            return self._add_leaf(idx, route)
+        feat, thr, gain, n_left, in_left = split
+
+        node_id = self._add_node(feat, thr, idx)
+        self.importance[feat] += max(gain, 0.0)
+        route_left = route_right = None
+        if route is not None:
+            go_left = self.X[route, feat] <= thr
+            route_left, route_right = route[go_left], route[~go_left]
+        self.left[node_id] = self._grow(sorted_idx, in_left, n_left, depth + 1, route_left)
+        self.right[node_id] = self._grow(
+            sorted_idx, ~in_left, size - n_left, depth + 1, route_right
+        )
         return node_id
 
     def _candidate_features(self) -> np.ndarray:
         n_feat = self.X.shape[1]
         k = self.params.max_features
         if k is None or k >= n_feat:
-            return np.arange(n_feat, dtype=np.intp)
+            return self.all_cols
         chosen = self.rng.choice(n_feat, size=k, replace=False)
         return np.sort(chosen)  # ascending keeps the lowest-index tie-break
 
-    def _best_split(self, sorted_idx: np.ndarray):
-        cols = self._candidate_features()
-        S = sorted_idx[:, cols]
-        Xs = self.X[S, cols[None, :]]
-        Ws = self.w[S]
-        n = sorted_idx.shape[0]
-        min_leaf = self.params.min_leaf
-
-        cw = np.cumsum(Ws, axis=0)
-        WL = cw[:-1]
-        WR = cw[-1] - WL
+    def _best_split(self, sorted_idx: np.ndarray, state: Optional[_SplitState]):
+        if state is None:
+            state = _SplitState(
+                self.X, self.w, sorted_idx, self._candidate_features(), self.params.min_leaf
+            )
+        S, Xs, Ws, cw, WL, WR = state.S, state.Xs, state.Ws, state.cw, state.WL, state.WR
 
         if self.params.task == "regression":
             ys = self.y[S]
             wy = Ws * ys
-            cwy = np.cumsum(wy, axis=0)
-            cwyy = np.cumsum(wy * ys, axis=0)
+            cwy = wy.cumsum(axis=0)
+            cwyy = (wy * ys).cumsum(axis=0)
             SL, QL = cwy[:-1], cwyy[:-1]
             SR, QR = cwy[-1] - SL, cwyy[-1] - QL
-            with np.errstate(divide="ignore", invalid="ignore"):
-                child = (QL - SL * SL / WL) + (QR - SR * SR / WR)
+            child = (QL - SL * SL / WL) + (QR - SR * SR / WR)
             parent = cwyy[-1] - cwy[-1] ** 2 / cw[-1]
         else:
             # per-class cumulative weighted counts; K is small so loop classes
@@ -303,39 +399,29 @@ class _TreeBuilder:
             sum_sq_r = np.zeros_like(WL)
             parent_sq = np.zeros(S.shape[1], dtype=np.float64)
             for k in range(self.n_classes):
-                ck = np.cumsum(Ws * self.y_onehot[S, k], axis=0)
+                ck = (Ws * self.y_onehot[S, k]).cumsum(axis=0)
                 skl = ck[:-1]
                 skr = ck[-1] - skl
                 sum_sq_l += skl * skl
                 sum_sq_r += skr * skr
                 parent_sq += ck[-1] ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                child = (WL - sum_sq_l / WL) + (WR - sum_sq_r / WR)
+            child = (WL - sum_sq_l / WL) + (WR - sum_sq_r / WR)
             parent = cw[-1] - parent_sq / cw[-1]
 
         gain = parent[None, :] - child
-        pos = np.arange(1, n)[:, None]
-        valid = (Xs[:-1] < Xs[1:]) & (pos >= min_leaf) & (n - pos >= min_leaf)
-        valid &= (WL > 0) & (WR > 0)
-        gain = np.where(valid, gain, -np.inf)
-
-        best_pos = np.argmax(gain, axis=0)  # first max -> lowest threshold
-        best_gain = gain[best_pos, np.arange(gain.shape[1])]
+        gain[~state.valid] = -np.inf
+        best_pos = gain.argmax(axis=0)  # first max -> lowest threshold
+        best_gain = gain[best_pos, self.all_cols[: len(state.cols)]]
         if not np.isfinite(best_gain).any():
             return None
-        j = int(np.argmax(best_gain))  # first max -> lowest feature index
+        j = int(best_gain.argmax())  # first max -> lowest feature index
         i = int(best_pos[j])
-        feat = int(cols[j])
+        feat = int(state.cols[j])
         thr = float((Xs[i, j] + Xs[i + 1, j]) / 2.0)
-
-        # partition every column's sorted order by left membership (stable)
+        # left membership; children partition every column's order by it (stable)
         in_left = np.zeros(self.X.shape[0], dtype=bool)
         in_left[S[: i + 1, j]] = True
-        mask = in_left[sorted_idx]
-        n_feat = sorted_idx.shape[1]
-        left_sorted = sorted_idx.T[mask.T].reshape(n_feat, i + 1).T
-        right_sorted = sorted_idx.T[~mask.T].reshape(n_feat, n - i - 1).T
-        return feat, thr, float(max(best_gain[j], 0.0)), left_sorted, right_sorted
+        return feat, thr, float(max(best_gain[j], 0.0)), i + 1, in_left
 
 
 def fit_tree(
@@ -346,7 +432,7 @@ def fit_tree(
     rng: Optional[np.random.Generator] = None,
 ) -> DecisionTree:
     """Fit one greedy CART tree (regression or classification)."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) == 0:
         raise LearnerError("X must be a non-empty 2-D matrix")
@@ -374,11 +460,23 @@ def fit_tree(
 
 @dataclass(frozen=True)
 class GbmParams:
-    n_rounds: int = 100
+    n_rounds: int = 100  # 0 is the prior-only model
     learning_rate: float = 0.1
     max_depth: int = 3
     min_leaf: int = 2
     subsample: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.n_rounds < 0:
+            raise LearnerError("n_rounds: must be >= 0")
+        if not self.learning_rate > 0:
+            raise LearnerError("learning_rate: must be > 0")
+        if self.max_depth < 1:
+            raise LearnerError("max_depth: must be >= 1")
+        if self.min_leaf < 1:
+            raise LearnerError("min_leaf: must be >= 1")
+        if not 0 < self.subsample <= 1:
+            raise LearnerError("subsample: must be in (0, 1]")
 
 
 @dataclass
@@ -404,9 +502,12 @@ class GbmModel:
                 f"X has {X.shape[1]} columns, model was trained on {self.n_features}"
             )
         scores = np.tile(self.init_scores, (len(X), 1))
-        for round_trees in self.trees:
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += self.params.learning_rate * tree.predict(X)
+        if not self.trees:
+            return scores
+        flat, roots = DecisionTree.stack([t for round_trees in self.trees for t in round_trees])
+        steps = flat.leaf_values[flat.apply(X, roots)].reshape(len(X), len(self.trees), -1)
+        for r in range(len(self.trees)):  # round by round, as in fitting
+            scores += self.params.learning_rate * steps[:, r]
         return scores
 
     def predict_proba(self, X: np.ndarray) -> PredictionSet:
@@ -436,8 +537,13 @@ def fit_gbm(
     gradient (one-hot minus softmax) under the shared sample weights; leaf
     values take the damped multiclass step (K-1)/K * sum(w*r)/sum(w*|r|(1-|r|))
     and are scaled by the learning rate at prediction time.
+
+    The class trees of a round are fit on the same rows and weights, so they
+    share one root `_SplitState` (computed once per fit, or once per round
+    when rows are subsampled). Each builder returns every row's leaf, which
+    gives the leaf sums and the score update without walking the tree.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     if X.ndim != 2 or len(X) == 0:
         raise LearnerError("X must be a non-empty 2-D matrix")
@@ -472,39 +578,35 @@ def fit_gbm(
     importance = np.zeros(X.shape[1], dtype=np.float64)
     losses = [log_loss(scores, y, w) / w.sum()]
 
-    # column sort is shared across every round and class tree
-    sorted_full = np.argsort(X, axis=0, kind="stable")
-
+    cols = np.arange(X.shape[1], dtype=np.intp)
+    rows, root = slice(None), None  # the trees' rows: all, or each round's subsample
     for _ in range(params.n_rounds):
         p = softmax(scores)
         residual = y_oh - p
         if params.subsample < 1.0:
             m = max(1, int(round(params.subsample * n)))
             rows = rng.choice(n, size=m, replace=False)
-            X_round = X[rows]
-            sorted_round = np.argsort(X_round, axis=0, kind="stable")
-        else:
-            rows = np.arange(n)
-            X_round = X
-            sorted_round = sorted_full
+            sorted_rows = rows[np.argsort(X[rows], axis=0, kind="stable")]
+            root = _SplitState(X, w, sorted_rows, cols, params.min_leaf)
+        elif root is None:
+            sorted_all = np.argsort(X, axis=0, kind="stable")
+            root = _SplitState(X, w, sorted_all, cols, params.min_leaf)
         round_trees = []
         for k in range(K):
-            tree = _TreeBuilder(
-                X_round, residual[rows, k], w[rows], tree_params, None, sorted_round
-            ).build()
-            leaves_sub = tree.apply(X_round)
-            r_sub = residual[rows, k]
-            w_sub = w[rows]
-            num = np.zeros(tree.n_nodes)
-            den = np.zeros(tree.n_nodes)
-            np.add.at(num, leaves_sub, w_sub * r_sub)
-            np.add.at(den, leaves_sub, w_sub * np.abs(r_sub) * (1.0 - np.abs(r_sub)))
+            r = residual[:, k]
+            tree, leaf = _TreeBuilder(X, r, w, tree_params, root=root).build_leaves()
+            # leaf sums over the fitted rows, added in their order
+            leaf_fit, r_fit, w_fit = leaf[rows], r[rows], w[rows]
+            num = np.bincount(leaf_fit, w_fit * r_fit, minlength=tree.n_nodes)
+            den = np.bincount(
+                leaf_fit, w_fit * np.abs(r_fit) * (1.0 - np.abs(r_fit)), minlength=tree.n_nodes
+            )
             with np.errstate(divide="ignore", invalid="ignore"):
                 gamma = (K - 1.0) / K * num / den
             gamma[~np.isfinite(gamma)] = 0.0
             gamma[np.abs(den) < 1e-150] = 0.0
             tree.leaf_values = gamma
-            scores[:, k] += params.learning_rate * tree.predict(X)
+            scores[:, k] += params.learning_rate * gamma[leaf]
             importance += tree.raw_importance
             round_trees.append(tree)
         trees.append(round_trees)
@@ -536,6 +638,16 @@ class RandomForestParams:
     bootstrap: bool = True
     max_features: Optional[str] = "sqrt"  # "sqrt" | None (all features)
 
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise LearnerError("n_trees: must be >= 1")
+        if self.max_depth < 1:
+            raise LearnerError("max_depth: must be >= 1")
+        if self.min_leaf < 1:
+            raise LearnerError("min_leaf: must be >= 1")
+        if self.max_features not in ("sqrt", None):
+            raise LearnerError(f"max_features: must be 'sqrt' or null, got {self.max_features!r}")
+
 
 @dataclass
 class RandomForestModel:
@@ -551,9 +663,11 @@ class RandomForestModel:
             raise LearnerError(
                 f"X has {X.shape[1]} columns, model was trained on {self.n_features}"
             )
+        flat, roots = DecisionTree.stack(self.trees)
+        rows = flat.leaf_values[flat.apply(X, roots)]
         acc = np.zeros((len(X), self.n_classes), dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict(X)
+        for t in range(len(self.trees)):  # tree by tree, in fitting order
+            acc += rows[:, t]
         acc /= len(self.trees)
         return PredictionSet.from_probabilities(acc)
 
@@ -584,12 +698,7 @@ def fit_random_forest(
         raise LearnerError("X must be a non-empty 2-D matrix")
     K = int(n_classes) if n_classes is not None else int(np.max(y)) + 1
     n, n_feat = X.shape
-    if params.max_features == "sqrt":
-        k = max(1, int(np.sqrt(n_feat)))
-    elif params.max_features is None:
-        k = None
-    else:
-        raise LearnerError(f"unknown max_features {params.max_features!r}")
+    k = max(1, int(np.sqrt(n_feat))) if params.max_features == "sqrt" else None
     tree_params = TreeParams(
         max_depth=params.max_depth,
         min_leaf=params.min_leaf,

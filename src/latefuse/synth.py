@@ -54,6 +54,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise SynthError("seed: must be >= 0")
         if self.n_classes < 2:
             raise SynthError("need at least 2 classes")
         if not self.modalities:

@@ -216,7 +216,7 @@ def _label(method: dict) -> tuple:
 
 def _with_optional_keys(source: dict):
     return st.fixed_dictionaries({k: st.just(v) for k, v in source.items()}, optional={
-        "seed": st.integers(-5, 2**32 - 1),
+        "seed": st.integers(0, 2**32 - 1),
         "output_dir": st.sampled_from(["out", "/tmp/run"]),
         "parallelism": st.integers(1, 4),
         "folds": st.fixed_dictionaries({}, optional={"repeats": st.integers(1, 5),
@@ -259,6 +259,37 @@ _BAD_CONFIGS = {
         "synth.class_weights",
     ),
     "method_not_object": ({"methods": ["ENS-S"]}, "methods[0]"),
+    "negative_seed": (
+        {"seed": -1, "synth": {"n_classes": 2, "modalities": [{"name": "A"}], "seed": 5}}, "seed"
+    ),
+    "negative_synth_seed": (
+        {"synth": {"n_classes": 2, "modalities": [{"name": "A"}], "seed": -1}}, "synth.seed"
+    ),
+    "negative_n_rounds": ({"methods": [{"kind": "ENS-S", "base": {"n_rounds": -1}}]},
+                          "methods[0].base.n_rounds"),
+    "negative_learning_rate": ({"methods": [{"kind": "ENS-S", "base": {"learning_rate": -1}}]},
+                               "methods[0].base.learning_rate"),
+    "zero_subsample": ({"methods": [{"kind": "ENS-S", "base": {"subsample": 0}}]},
+                       "methods[0].base.subsample"),
+    "subsample_above_one": ({"methods": [{"kind": "ENS-S", "base": {"subsample": 1.5}}]},
+                            "methods[0].base.subsample"),
+    "zero_max_depth": ({"methods": [{"kind": "ENS-S", "base": {"max_depth": 0}}]},
+                       "methods[0].base.max_depth"),
+    "zero_min_leaf": ({"methods": [{"kind": "ENS-S", "base": {"min_leaf": 0}}]},
+                      "methods[0].base.min_leaf"),
+    "zero_incremental_learning_rate": ({"incremental": {"base": {"learning_rate": 0}}},
+                                     "incremental.base.learning_rate"),
+    "zero_forest_trees": ({"methods": [{"kind": "ML", "meta_forest": {"n_trees": 0}}]},
+                          "methods[0].meta_forest.n_trees"),
+    "unknown_max_features": (
+        {"methods": [{"kind": "ML", "meta_forest": {"max_features": "log2"}}]},
+        "methods[0].meta_forest.max_features",
+    ),
+    "one_inner_fold": ({"methods": [{"kind": "ML", "inner_folds": 1}]}, "methods[0].inner_folds"),
+    "one_ada_inner_fold": ({"methods": [{"kind": "ADA-M", "ada_inner_folds": 1}]},
+                           "methods[0].ada_inner_folds"),
+    "unknown_modality": ({"methods": [{"kind": "ENS-S"}, {"kind": "ENS-S", "modalities": ["Z"]}]},
+                         "methods[1].modalities"),
 }
 
 
@@ -296,6 +327,11 @@ def test_bad_override_exits_one_with_key_path(flags, env, tmp_path, capsys, monk
         monkeypatch.setenv(name, value)
     assert main(["run", "-c", _small_config(tmp_path), *flags]) == 1
     assert "error: parallelism:" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_one(tmp_path, capsys):
+    assert main(["run", "-c", _small_config(tmp_path), "--seed", "-1"]) == 1
+    assert "error: seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_overrides_reach_the_echo(tmp_path, monkeypatch):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latefuse.learners import (
+    DecisionTree,
+    GbmModel,
     GbmParams,
     LearnerError,
     RandomForestParams,
     TreeParams,
+    _SplitState,
+    _TreeBuilder,
     fit_gbm,
     fit_random_forest,
     fit_tree,
@@ -214,3 +220,190 @@ class TestHelpers:
         np.testing.assert_array_equal(
             one_hot(np.array([0, 2]), 3), np.array([[1.0, 0, 0], [0, 0, 1.0]])
         )
+
+
+class TestParams:
+    @pytest.mark.parametrize("bad", [
+        {"n_rounds": -1}, {"learning_rate": 0.0}, {"learning_rate": -1.0},
+        {"max_depth": 0}, {"min_leaf": 0}, {"subsample": 0.0}, {"subsample": 1.5},
+    ])
+    def test_gbm_params_rejected(self, bad):
+        with pytest.raises(LearnerError, match=f"^{next(iter(bad))}: "):
+            GbmParams(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"n_trees": 0}, {"max_depth": 0}, {"min_leaf": 0}, {"max_features": "log2"},
+    ])
+    def test_forest_params_rejected(self, bad):
+        with pytest.raises(LearnerError, match=f"^{next(iter(bad))}: "):
+            RandomForestParams(**bad)
+
+
+# ---------------------------------------------------------------------------
+# exactness: the shared-root, leaf-returning fit against the per-tree walk
+# ---------------------------------------------------------------------------
+
+
+def reference_fit_gbm(X, y, sample_weight=None, params=GbmParams(), seed=0, n_classes=None):
+    """fit_gbm as it was before the root state was shared: every class tree
+    sorts its own rows and computes node values, then `apply` finds each
+    fitted row's leaf and `predict` walks every row again for the scores."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.intp)
+    w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    K = int(n_classes) if n_classes is not None else int(np.max(y)) + 1
+    n = len(y)
+    priors = np.zeros(K)
+    np.add.at(priors, y, w)
+    priors /= w.sum()
+    init_scores = np.log(np.clip(priors, 1e-12, None))
+    y_oh = one_hot(y, K)
+    scores = np.tile(init_scores, (n, 1))
+    tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
+    trees, importance = [], np.zeros(X.shape[1])
+    losses = [log_loss(scores, y, w) / w.sum()]
+    for _ in range(params.n_rounds):
+        residual = y_oh - softmax(scores)
+        if params.subsample < 1.0:
+            rows = rng.choice(n, size=max(1, int(round(params.subsample * n))), replace=False)
+        else:
+            rows = np.arange(n)
+        X_round = X[rows]
+        round_trees = []
+        for k in range(K):
+            r_sub, w_sub = residual[rows, k], w[rows]
+            tree = _TreeBuilder(X_round, r_sub, w_sub, tree_params).build()
+            leaves_sub = tree.apply(X_round)
+            num, den = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
+            np.add.at(num, leaves_sub, w_sub * r_sub)
+            np.add.at(den, leaves_sub, w_sub * np.abs(r_sub) * (1.0 - np.abs(r_sub)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gamma = (K - 1.0) / K * num / den
+            gamma[~np.isfinite(gamma)] = 0.0
+            gamma[np.abs(den) < 1e-150] = 0.0
+            tree.leaf_values = gamma
+            scores[:, k] += params.learning_rate * tree.predict(X)
+            importance += tree.raw_importance
+            round_trees.append(tree)
+        trees.append(round_trees)
+        losses.append(log_loss(scores, y, w) / w.sum())
+    total = importance.sum()
+    return GbmModel(params, K, X.shape[1], init_scores, trees,
+                    importance / total if total > 0 else importance, losses)
+
+
+def reference_decision_scores(model, X):
+    """Scores summed tree by tree, each tree walked on its own."""
+    scores = np.tile(model.init_scores, (len(X), 1))
+    for round_trees in model.trees:
+        for k, tree in enumerate(round_trees):
+            scores[:, k] += model.params.learning_rate * tree.predict(X)
+    return scores
+
+
+def reference_walk(tree, X, root=0):
+    """One row at a time, node by node."""
+    out = []
+    for x in X:
+        node = root
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(node)
+    return np.array(out, dtype=np.intp)
+
+
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_values", "raw_importance")
+
+
+def assert_same_gbm(new, ref, X):
+    assert len(new.trees) == len(ref.trees)
+    for new_round, ref_round in zip(new.trees, ref.trees):
+        assert len(new_round) == len(ref_round)
+        for a, b in zip(new_round, ref_round):
+            for name in _TREE_ARRAYS:
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    np.testing.assert_array_equal(new.init_scores, ref.init_scores)
+    np.testing.assert_array_equal(new.feature_importances_, ref.feature_importances_)
+    np.testing.assert_array_equal(new.train_losses_, ref.train_losses_)
+    np.testing.assert_array_equal(new.decision_scores(X), reference_decision_scores(ref, X))
+
+
+@st.composite
+def _gbm_case(draw):
+    n, F, K = draw(st.integers(2, 120)), draw(st.integers(1, 40)), draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, F))
+    columns = draw(st.sampled_from(["real", "rounded", "integer"]))
+    if columns == "rounded":
+        X = np.round(X, 1)  # many ties
+    elif columns == "integer":
+        X = rng.integers(0, 4, size=(n, F)).astype(float)
+    y = rng.integers(0, K, n)
+    weights = draw(st.sampled_from(["none", "exponential", "with_zeros"]))
+    w = None if weights == "none" else rng.exponential(size=n)
+    if weights == "with_zeros":
+        w[rng.random(n) < 0.5] = 0.0
+        w[rng.integers(n)] = 1.0  # not all zero
+    params = GbmParams(
+        n_rounds=draw(st.integers(0, 8)),
+        max_depth=draw(st.integers(1, 4)),
+        min_leaf=draw(st.integers(1, 3)),
+        subsample=draw(st.sampled_from([1.0, 0.5])),
+    )
+    return X, y, w, params, K, draw(st.integers(0, 1000))
+
+
+class TestGbmExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(_gbm_case())
+    def test_fit_matches_per_tree_reference(self, case):
+        X, y, w, params, K, seed = case
+        new = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+        ref = reference_fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+        X_query = np.vstack([X, X[::-1] + 0.25])
+        assert_same_gbm(new, ref, X_query)
+
+    def test_midpoint_rounding_onto_upper_value(self):
+        # (a + b) / 2 rounds to b: the threshold is 1.0, so the row at 1.0
+        # walks left although the sorted partition put it on the right
+        x = np.array([1 - 2**-53, 1.0])
+        X = np.column_stack([x, [0.0, 1.0]])
+        w = np.ones(2)
+        root = _SplitState(X, w, np.argsort(X, axis=0, kind="stable"), np.arange(2), 1)
+        params = TreeParams(max_depth=1, min_leaf=1)
+        tree, leaves = _TreeBuilder(X, np.array([0.0, 1.0]), w, params, root=root).build_leaves()
+        assert tree.feature[0] == 0 and tree.threshold[0] == 1.0
+        np.testing.assert_array_equal(leaves, tree.apply(X))
+        np.testing.assert_array_equal(leaves, [1, 1])
+        y = np.array([0, 1])
+        for subsample in (1.0, 0.5):
+            p = GbmParams(n_rounds=3, max_depth=2, min_leaf=1, subsample=subsample)
+            assert_same_gbm(fit_gbm(X, y, params=p), reference_fit_gbm(X, y, params=p), X)
+
+    def test_multi_root_apply_matches_per_tree_walks(self, rng):
+        X = np.round(rng.normal(size=(40, 5)), 1)
+        y = rng.integers(0, 3, 40)
+        trees = [t for r in fit_gbm(X, y, params=GbmParams(n_rounds=4)).trees for t in r]
+        trees += fit_random_forest(X, y, RandomForestParams(n_trees=4), seed=1).trees
+        for group in (trees[:12], trees[12:]):
+            flat, roots = DecisionTree.stack(group)
+            X_query = np.vstack([X, rng.normal(size=(7, 5))])
+            leaves = flat.apply(X_query, roots)
+            assert leaves.shape == (len(X_query), len(group))
+            for t, (tree, root) in enumerate(zip(group, roots)):
+                np.testing.assert_array_equal(leaves[:, t], tree.apply(X_query) + root)
+                np.testing.assert_array_equal(tree.apply(X_query), reference_walk(tree, X_query))
+                np.testing.assert_array_equal(leaves[:, t], reference_walk(flat, X_query, root))
+
+    def test_forest_proba_is_the_per_tree_mean(self, rng):
+        X = rng.normal(size=(30, 6))
+        y = rng.integers(0, 3, 30)
+        forest = fit_random_forest(X, y, RandomForestParams(n_trees=9), seed=4)
+        X_query = rng.normal(size=(11, 6))
+        acc = np.zeros((11, 3))
+        for tree in forest.trees:
+            acc += tree.predict(X_query)
+        acc /= len(forest.trees)
+        np.testing.assert_array_equal(forest.predict_proba(X_query).probabilities, acc)

@@ -1,0 +1,53 @@
+"""`latefuse run` on a small fixed config writes the same report.json bytes
+as recorded: a guard that changes meant to be speed-ups or refactors leave
+every reported number where it was."""
+
+import hashlib
+import json
+
+from latefuse.cli import main
+
+KINDS = ("CONCAT", "ENS-H", "ENS-S", "ML", "ADA-H", "ADA-S", "ADA-M", "PBMV", "MOE-COMBN")
+
+CONFIG = {
+    "seed": 3,
+    "output_dir": "out",
+    "synth": {
+        "n_samples": 48,
+        "n_classes": 3,
+        "modalities": [
+            {"name": "A", "n_features": 8, "n_informative": 3, "separation": 2.0},
+            {"name": "B", "n_features": 6, "n_informative": 3, "separation": 1.5},
+            {"name": "C", "n_features": 5, "n_informative": 0},
+        ],
+    },
+    "folds": {"repeats": 1, "folds": 2},
+    "methods": [
+        {
+            "kind": kind,
+            "base": {"n_rounds": 10, "max_depth": 2},
+            "boosting_rounds": 3,
+            "inner_folds": 2,
+            "ada_inner_folds": 2,
+            "meta_forest": {"n_trees": 5},
+        }
+        for kind in KINDS
+    ]
+    + [{"kind": "ENS-S", "name": "ENS-S-subsample", "base": {"n_rounds": 10, "subsample": 0.5}}],
+}
+
+# sha256 of report.json for CONFIG, recorded before GBM fitting shared its
+# root state and stopped walking trees during fitting.
+EXPECTED_SHA256 = "43f515a1b011157a043802e070981c094fa00748b69837aa178e199190c1b7ba"
+
+
+def test_report_bytes_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    assert main(["run", "-c", "config.json"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == EXPECTED_SHA256, (
+        f"report.json sha256 is {digest}, recorded {EXPECTED_SHA256}. A change that moves "
+        "the report's numbers on purpose re-records EXPECTED_SHA256 and names the numbers "
+        "that moved, and why, in CHANGES.md."
+    )
