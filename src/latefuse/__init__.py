@@ -23,7 +23,6 @@ from .evaluation import (
     compute_metrics,
     corrected_ttest,
     macro_f1,
-    roc_auc_ovr,
     run_cv_benchmark,
 )
 from .feature_selection import (
@@ -68,7 +67,6 @@ from .preprocess import (
     impute_knn,
     normalize,
     prune_correlated,
-    smote_balance,
     smote_balance_tables,
     variance_topk,
 )

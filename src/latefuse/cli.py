@@ -46,7 +46,10 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
             ) from None
     flags = {k: v for k, v in vars(args).items() if v is not None}
     top.update({k: flags[k] for k in ("output_dir", "seed", "parallelism") if k in flags})
-    folds = replace(cfg.folds, **{k: flags[k] for k in ("repeats", "folds") if k in flags})
+    try:
+        folds = replace(cfg.folds, **{k: flags[k] for k in ("repeats", "folds") if k in flags})
+    except ConfigError as e:
+        raise ConfigError(f"folds.{e}") from None
     return replace(cfg, folds=folds, **top)
 
 

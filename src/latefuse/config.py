@@ -34,12 +34,22 @@ class FoldsConfig:
     repeats: int = 5
     folds: int = 5
 
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ConfigError("repeats: must be >= 1")
+        if self.folds < 2:
+            raise ConfigError("folds: must be >= 2")
+
 
 @dataclass(frozen=True)
 class IncrementalConfig:
     margin: float = 0.01
     inner_folds: int = 3
     base: GbmParams = GbmParams()
+
+    def __post_init__(self) -> None:
+        if self.inner_folds < 2:
+            raise ConfigError("inner_folds: must be >= 2")
 
 
 @dataclass(frozen=True)

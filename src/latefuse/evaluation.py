@@ -24,7 +24,7 @@ from .feature_selection import (
     select_signature,
     stability_cwrel,
 )
-from .integrators import IntegratorSpec, fit_integrator
+from .integrators import FitContext, IntegratorSpec, fit_integrator
 from .learners import PredictionSet
 from .preprocess import PreprocessConfig, fit_preprocessor, smote_balance_tables
 
@@ -133,15 +133,6 @@ def auc_per_class(
         aucs[k] = (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         valid[k] = True
     return aucs, valid
-
-
-def roc_auc_ovr(probabilities: np.ndarray, truth: np.ndarray) -> float:
-    """Macro-average one-vs-rest AUC over classes with both labels present."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    aucs, valid = auc_per_class(probabilities, truth, probabilities.shape[1])
-    if not valid.any():
-        return 0.0
-    return float(aucs[valid].mean())
 
 
 def compute_metrics(predictions: PredictionSet, truth: np.ndarray) -> MetricSet:
@@ -361,7 +352,8 @@ def _run_cell(args) -> dict:
     """Fit preprocessing and every method on one (repeat, fold) cell.
 
     Standalone function so cells can run in worker processes; returns plain
-    records keyed by method label.
+    records keyed by method label. The methods share one FitContext, so a
+    base GBM that several of them fit is fitted once.
     """
     dataset, plan, methods, cfg, seed, repeat, fold = args
     n = dataset.n_samples
@@ -380,13 +372,14 @@ def _run_cell(args) -> dict:
     else:
         train_fit, y_fit = train_p, y_train
 
+    fits = FitContext()
     out: dict = {}
     for mi, spec in enumerate(methods):
         label = spec.label
         try:
             fitted = fit_integrator(
                 train_fit, y_fit, spec, dataset.n_classes,
-                seed=_cell_seed(seed, repeat, fold) + 131 * mi,
+                seed=_cell_seed(seed, repeat, fold) + 131 * mi, fits=fits,
             )
             predictions = fitted.predict(test_p)
             metrics = compute_metrics(predictions, y_test)

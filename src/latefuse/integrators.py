@@ -8,6 +8,14 @@ for downstream signature selection, and `extras` holds the kind's
 JSON-ready diagnostics for the report. The incremental modality-subset
 selector lives here too.
 
+Every base GBM is fitted through a `FitContext`, and a CV cell makes one
+for all of its methods. At `subsample` 1 a GBM fit draws nothing from its
+seed, so the context fits each (training matrix, labels, weights, params)
+once and hands the same model to every request for it: ENS-H, ENS-S, ML's
+full-data base models and the first round of ADA-* and PBMV share one
+model per modality, and a PBMV view whose weights stop changing reuses its
+fit in every later round. Seeded fits (`subsample` < 1) are never shared.
+
 Method kinds (config vocabulary):
 
     CONCAT     single model on column-wise concatenation
@@ -154,10 +162,41 @@ def _fitted(spec, tables, importances, predict_values, extras=None) -> FittedInt
     )
 
 
-def _fit_per_modality(values, labels, weights, base, seed, n_classes) -> list[GbmModel]:
+class FitContext:
+    """The base-GBM fits of one CV cell, shared by all of its methods.
+
+    `gbm` returns the model it already fitted for the same training matrix
+    (the same array object), labels, weights, params and class count when
+    `params.subsample` is 1: `fit_gbm` then never reads its seed, so the
+    seed is not part of the key. Each entry keeps its matrix alive, so no
+    id is reused while the context lives; a matrix must not be changed in
+    place meanwhile. Fits with `subsample` < 1 depend on the seed and are
+    always made afresh.
+    """
+
+    def __init__(self) -> None:
+        self._fits: dict[tuple, tuple[np.ndarray, GbmModel]] = {}
+
+    def gbm(self, X, y, w, params: GbmParams, seed: int, K: int) -> GbmModel:
+        if params.subsample < 1.0:
+            return fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+        key = (
+            id(X),
+            np.asarray(y, dtype=np.intp).tobytes(),
+            np.asarray(w, dtype=np.float64).tobytes(),
+            params,
+            K,
+        )
+        entry = self._fits.get(key)
+        if entry is None:
+            entry = self._fits[key] = (X, fit_gbm(X, y, w, params, seed=seed, n_classes=K))
+        return entry[1]
+
+
+def _fit_per_modality(fits, values, labels, weights, base, seed, n_classes) -> list[GbmModel]:
     """One GBM per modality; modality i is seeded seed + 17 * i."""
     return [
-        fit_gbm(x, labels, weights, base, seed=seed + 17 * i, n_classes=n_classes)
+        fits.gbm(x, labels, weights, base, seed + 17 * i, n_classes)
         for i, x in enumerate(values)
     ]
 
@@ -283,13 +322,15 @@ def fit_concat(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
+    fits: Optional[FitContext] = None,
 ) -> FittedIntegrator:
     """Single model over the column-wise concatenation of all modalities."""
     provenance = [(t.modality_name, f) for t in tables for f in t.feature_names]
     if len(set(provenance)) != len(provenance):
         raise IntegrationError("duplicate (modality, feature) pair in concatenation")
+    fits = fits or FitContext()
     X = np.hstack([t.values for t in tables])
-    model = fit_gbm(X, labels, np.ones(len(labels)), spec.base, seed=seed, n_classes=n_classes)
+    model = fits.gbm(X, labels, np.ones(len(labels)), spec.base, seed, n_classes)
     bounds = np.cumsum([t.n_features for t in tables])[:-1]
     return _fitted(
         spec, tables, np.split(model.feature_importances_, bounds),
@@ -312,10 +353,12 @@ def fit_vote(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
+    fits: Optional[FitContext] = None,
 ) -> FittedIntegrator:
     """One model per modality; predictions combined by hard or soft vote."""
+    fits = fits or FitContext()
     models = _fit_per_modality(
-        [t.values for t in tables], labels, np.ones(len(labels)), spec.base, seed, n_classes
+        fits, [t.values for t in tables], labels, np.ones(len(labels)), spec.base, seed, n_classes
     )
     vote = vote_hard if spec.kind == "ENS-H" else vote_soft
     return _fitted(
@@ -330,6 +373,7 @@ def fit_vote(
 
 
 def _oof_meta_features(
+    fits: FitContext,
     values: Sequence[np.ndarray],
     labels: np.ndarray,
     base: GbmParams,
@@ -354,9 +398,9 @@ def _oof_meta_features(
         test_idx = plan.test_indices(0, f)
         train_idx = plan.train_indices(0, f, n)
         for m, x in enumerate(values):
-            model = fit_gbm(
+            model = fits.gbm(
                 x[train_idx], labels[train_idx], w[train_idx], base,
-                seed=seed + 31 * m + 7 * f, n_classes=n_classes,
+                seed + 31 * m + 7 * f, n_classes,
             )
             probs = model.predict_proba(x[test_idx]).probabilities
             meta[test_idx, m * n_classes : (m + 1) * n_classes] = probs
@@ -374,15 +418,21 @@ def fit_meta_learner(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
+    fits: Optional[FitContext] = None,
 ) -> FittedIntegrator:
     """Random-forest meta model on out-of-fold base-model probabilities.
 
     Its features are the meta inputs (modality, meta_proba_k); extras carry
     each modality's summed meta importance as `modality_relevance`.
     """
+    fits = fits or FitContext()
     values = [t.values for t in tables]
-    base_models = _fit_per_modality(values, labels, np.ones(len(labels)), spec.base, seed, n_classes)
-    meta = _oof_meta_features(values, labels, spec.base, n_classes, spec.inner_folds, seed + 811)
+    base_models = _fit_per_modality(
+        fits, values, labels, np.ones(len(labels)), spec.base, seed, n_classes
+    )
+    meta = _oof_meta_features(
+        fits, values, labels, spec.base, n_classes, spec.inner_folds, seed + 811
+    )
     forest = fit_random_forest(meta, labels, spec.meta_forest, seed=seed + 977, n_classes=n_classes)
     names = [t.modality_name for t in tables]
     importances = np.split(forest.feature_importances_, len(tables))
@@ -433,6 +483,7 @@ def fit_adaboost_mm(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
+    fits: Optional[FitContext] = None,
 ) -> FittedIntegrator:
     """Boost per-modality models under one shared sample-weight vector.
 
@@ -444,6 +495,7 @@ def fit_adaboost_mm(
     reset to uniform; error zero caps alpha and stops early. Extras carry
     the kept rounds' alphas as `round_weights`.
     """
+    fits = fits or FitContext()
     aggregator = _ADA_AGGREGATORS[spec.kind]
     values = [t.values for t in tables]
     n = len(labels)
@@ -452,12 +504,12 @@ def fit_adaboost_mm(
     rounds: list[tuple] = []  # (alpha, per-modality models, ADA-M meta forest or None)
 
     for t in range(spec.boosting_rounds):
-        models = _fit_per_modality(values, labels, w, spec.base, seed + 1009 * t, K)
+        models = _fit_per_modality(fits, values, labels, w, spec.base, seed + 1009 * t, K)
         parts = _predict_each(models, values)
         meta_forest = None
         if aggregator == "meta":
             meta_oof = _oof_meta_features(
-                values, labels, spec.base, K, spec.ada_inner_folds, seed + 1013 * t, w
+                fits, values, labels, spec.base, K, spec.ada_inner_folds, seed + 1013 * t, w
             )
             meta_forest = _fit_weighted_forest(
                 meta_oof, labels, spec.meta_forest, w, seed + 1019 * t, K
@@ -577,6 +629,7 @@ def fit_pbmvboost(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
+    fits: Optional[FitContext] = None,
 ) -> FittedIntegrator:
     """Two-level boosting: per-view classifier weights from the weighted edge,
     plus view weights on the simplex from bound minimization.
@@ -589,6 +642,7 @@ def fit_pbmvboost(
     """
     if len(tables) < 2:
         raise IntegrationError("PBMV needs at least 2 modalities")
+    fits = fits or FitContext()
     n = len(labels)
     K = n_classes
     V = len(tables)
@@ -602,10 +656,7 @@ def fit_pbmvboost(
 
     for t in range(spec.boosting_rounds):
         for v, table in enumerate(tables):
-            model = fit_gbm(
-                table.values, labels, d_v[v], spec.base,
-                seed=seed + 2003 * t + 29 * v, n_classes=K,
-            )
+            model = fits.gbm(table.values, labels, d_v[v], spec.base, seed + 2003 * t + 29 * v, K)
             pred = model.predict_proba(table.values).labels
             mis = pred != labels
             eps = float(d_v[v][mis].sum() / d_v[v].sum())
@@ -723,6 +774,7 @@ def fit_moe(
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
+    fits: Optional[FitContext] = None,
 ) -> FittedIntegrator:
     """One binary one-vs-rest expert per class, each a soft-voting ensemble.
 
@@ -734,6 +786,7 @@ def fit_moe(
     missing = [k for k in range(n_classes) if k not in present]
     if missing:
         raise IntegrationError(f"class(es) absent from the training split: {missing}")
+    fits = fits or FitContext()
     experts = []  # experts[class] -> per-modality binary GbmModels
     for cls in range(n_classes):
         y_bin = (labels == cls).astype(np.intp)
@@ -745,7 +798,7 @@ def fit_moe(
             )
         values = [t.values for t in expert_tables]
         w = np.ones(len(y_fit))
-        experts.append(_fit_per_modality(values, y_fit, w, spec.base, seed + 3001 * cls, 2))
+        experts.append(_fit_per_modality(fits, values, y_fit, w, spec.base, seed + 3001 * cls, 2))
     importances = [
         sum(models[m].feature_importances_ for models in experts) / n_classes
         for m in range(len(tables))
@@ -760,32 +813,36 @@ def fit_moe(
 # ---------------------------------------------------------------------------
 
 
+_FITTERS = {
+    "CONCAT": fit_concat,
+    "ENS-H": fit_vote,
+    "ENS-S": fit_vote,
+    "ML": fit_meta_learner,
+    "ADA-H": fit_adaboost_mm,
+    "ADA-S": fit_adaboost_mm,
+    "ADA-M": fit_adaboost_mm,
+    "PBMV": fit_pbmvboost,
+    "MOE-COMBN": fit_moe,
+}
+
+
 def fit_integrator(
     tables: Sequence[ModalityTable],
     labels: np.ndarray,
     spec: IntegratorSpec,
     n_classes: int,
     seed: int = 0,
+    fits: Optional[FitContext] = None,
 ) -> FittedIntegrator:
-    """Fit the strategy named by spec.kind on the given modality subset."""
+    """Fit the strategy named by spec.kind on the given modality subset.
+
+    `fits` is the FitContext shared by the methods of one CV cell; without
+    it the method gets a context of its own.
+    """
     if spec.modalities is not None:
         tables = _select_tables(tables, spec.modalities)
     labels = np.asarray(labels, dtype=np.intp)
-    if spec.kind == "CONCAT":
-        return fit_concat(tables, labels, spec, n_classes, seed)
-    if spec.kind in ("ENS-H", "ENS-S"):
-        return fit_vote(tables, labels, spec, n_classes, seed)
-    if spec.kind == "ML":
-        return fit_meta_learner(tables, labels, spec, n_classes, seed)
-    if spec.kind in ("ADA-H", "ADA-S", "ADA-M"):
-        return fit_adaboost_mm(tables, labels, spec, n_classes, seed)
-    if spec.kind == "PBMV":
-        return fit_pbmvboost(tables, labels, spec, n_classes, seed)
-    if spec.kind == "MOE-COMBN":
-        return fit_moe(tables, labels, spec, n_classes, seed)
-    raise IntegrationError(f"unknown integrator kind {spec.kind!r}")
-
-
+    return _FITTERS[spec.kind](tables, labels, spec, n_classes, seed, fits)
 
 
 # ---------------------------------------------------------------------------

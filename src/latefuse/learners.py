@@ -18,13 +18,15 @@ stable column sort and what split search derives from it and the weights),
 and the builder returns every training row's leaf, routed by the same
 x <= threshold rule as `DecisionTree.apply`, so fitting walks no tree.
 `DecisionTree.apply` is the only tree walker and takes several roots:
-prediction stacks a model's trees into one flat tree and walks them all in
-one call, then adds the per-tree values in fitting order.
+a model stacks its trees into one flat tree once, on its first prediction,
+and each prediction walks them all in one call, then adds the per-tree
+values in fitting order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -504,11 +506,16 @@ class GbmModel:
         scores = np.tile(self.init_scores, (len(X), 1))
         if not self.trees:
             return scores
-        flat, roots = DecisionTree.stack([t for round_trees in self.trees for t in round_trees])
+        flat, roots = self._stacked
         steps = flat.leaf_values[flat.apply(X, roots)].reshape(len(X), len(self.trees), -1)
         for r in range(len(self.trees)):  # round by round, as in fitting
             scores += self.params.learning_rate * steps[:, r]
         return scores
+
+    @cached_property
+    def _stacked(self) -> tuple[DecisionTree, np.ndarray]:
+        """All trees as one flat tree, in fitting order; built on first use."""
+        return DecisionTree.stack([t for round_trees in self.trees for t in round_trees])
 
     def predict_proba(self, X: np.ndarray) -> PredictionSet:
         return PredictionSet.from_probabilities(softmax(self.decision_scores(X)))
@@ -663,13 +670,18 @@ class RandomForestModel:
             raise LearnerError(
                 f"X has {X.shape[1]} columns, model was trained on {self.n_features}"
             )
-        flat, roots = DecisionTree.stack(self.trees)
+        flat, roots = self._stacked
         rows = flat.leaf_values[flat.apply(X, roots)]
         acc = np.zeros((len(X), self.n_classes), dtype=np.float64)
         for t in range(len(self.trees)):  # tree by tree, in fitting order
             acc += rows[:, t]
         acc /= len(self.trees)
         return PredictionSet.from_probabilities(acc)
+
+    @cached_property
+    def _stacked(self) -> tuple[DecisionTree, np.ndarray]:
+        """All trees as one flat tree, in fitting order; built on first use."""
+        return DecisionTree.stack(self.trees)
 
     def to_json_dict(self) -> dict:
         return {

@@ -360,37 +360,18 @@ def _synthesize(
     return values[base] + u[:, None] * (values[neighbor] - values[base])
 
 
-def smote_balance(
-    X: np.ndarray,
-    y: np.ndarray,
-    k: int = 5,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Oversample each minority class up to the majority count.
-
-    Synthetic rows are x + u * (x_nn - x) with u uniform in [0,1] and x_nn one
-    of x's k same-class nearest neighbors. Original rows come first.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.intp)
-    if np.isnan(X).any():
-        raise PreprocessError("SMOTE requires imputed (non-missing) data")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
-    base, neighbor, u, labels = _smote_plan(y, X, k, rng)
-    if not len(labels):
-        return X.copy(), y.copy()
-    return np.vstack([X, _synthesize(X, base, neighbor, u)]), np.concatenate([y, labels])
-
-
 def smote_balance_tables(
     tables: Sequence[ModalityTable],
     y: np.ndarray,
     k: int = 5,
     seed: int = 0,
 ) -> tuple[list[ModalityTable], np.ndarray]:
-    """Balance aligned modality tables with one shared interpolation plan.
+    """Oversample each minority class up to the majority count, in aligned
+    modality tables with one shared interpolation plan.
 
-    Neighbor structure is computed on the column-wise concatenation so each
+    Synthetic rows are x + u * (x_nn - x) with u uniform in [0,1] and x_nn one
+    of x's k same-class nearest neighbors; original rows come first. Neighbor
+    structure is computed on the column-wise concatenation so each
     synthetic sample is the same convex combination in every modality, keeping
     the tables aligned for downstream shared-weight boosting.
     """

@@ -290,6 +290,9 @@ _BAD_CONFIGS = {
                            "methods[0].ada_inner_folds"),
     "unknown_modality": ({"methods": [{"kind": "ENS-S"}, {"kind": "ENS-S", "modalities": ["Z"]}]},
                          "methods[1].modalities"),
+    "one_fold": ({"folds": {"repeats": 1, "folds": 1}}, "folds.folds"),
+    "zero_repeats": ({"folds": {"repeats": 0, "folds": 3}}, "folds.repeats"),
+    "one_incremental_inner_fold": ({"incremental": {"inner_folds": 1}}, "incremental.inner_folds"),
 }
 
 
@@ -317,16 +320,18 @@ def test_bad_config_value_exits_one_with_key_path(case, tmp_path, capsys):
     assert f"error: {key_path}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, env", [
-    (["--parallelism", "0"], {}),
-    ([], {"LATEFUSE_PARALLELISM": "0"}),
-    ([], {"LATEFUSE_PARALLELISM": "two"}),
-], ids=["flag_zero", "env_zero", "env_not_int"])
-def test_bad_override_exits_one_with_key_path(flags, env, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flags, env, key_path", [
+    (["--parallelism", "0"], {}, "parallelism"),
+    ([], {"LATEFUSE_PARALLELISM": "0"}, "parallelism"),
+    ([], {"LATEFUSE_PARALLELISM": "two"}, "parallelism"),
+    (["--folds", "1"], {}, "folds.folds"),
+    (["--repeats", "0"], {}, "folds.repeats"),
+], ids=["flag_zero", "env_zero", "env_not_int", "folds_flag_one", "repeats_flag_zero"])
+def test_bad_override_exits_one_with_key_path(flags, env, key_path, tmp_path, capsys, monkeypatch):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert main(["run", "-c", _small_config(tmp_path), *flags]) == 1
-    assert "error: parallelism:" in capsys.readouterr().err
+    assert f"error: {key_path}:" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_exits_one(tmp_path, capsys):

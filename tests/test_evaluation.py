@@ -8,7 +8,6 @@ from latefuse.evaluation import (
     confusion_counts,
     corrected_ttest,
     macro_f1,
-    roc_auc_ovr,
     run_cv_benchmark,
 )
 from latefuse.integrators import IntegratorSpec
@@ -17,6 +16,11 @@ from latefuse.preprocess import PreprocessConfig
 from latefuse.synth import ModalitySpec, SynthSpec, generate
 
 FAST = GbmParams(n_rounds=8, max_depth=2)
+
+
+def _macro_auc(probabilities, truth):
+    """compute_metrics' macro AUC: the mean over classes with both labels present."""
+    return compute_metrics(PredictionSet.from_probabilities(probabilities), truth).macro_auc
 
 
 def _preds(labels, n_classes, probabilities=None):
@@ -104,12 +108,12 @@ class TestAuc:
     def test_one_hot_truth_is_perfect(self):
         truth = np.array([0, 1, 2])
         probs = np.eye(3)
-        assert roc_auc_ovr(probs, truth) == 1.0
+        assert _macro_auc(probs, truth) == 1.0
 
     def test_constant_scores_give_half(self):
         truth = np.array([0, 0, 1, 1])
         probs = np.full((4, 2), 0.5)
-        assert roc_auc_ovr(probs, truth) == pytest.approx(0.5)
+        assert _macro_auc(probs, truth) == pytest.approx(0.5)
 
     def test_six_sample_toy(self):
         scores = np.array([0.9, 0.8, 0.7, 0.4, 0.3, 0.2])
@@ -129,8 +133,8 @@ class TestAuc:
     def test_monotone_transform_invariance(self, rng):
         truth = rng.integers(0, 3, 40)
         probs = rng.dirichlet(np.ones(3), size=40)
-        a = roc_auc_ovr(probs, truth)
-        b = roc_auc_ovr(np.exp(3 * probs), truth)  # strictly monotone transform
+        a = _macro_auc(probs, truth)
+        b = _macro_auc(np.exp(3 * probs), truth)  # strictly monotone transform
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_exhaustive_pair_counting_oracle(self, rng):
@@ -233,7 +237,11 @@ class TestBenchmark:
     def test_parallel_equals_sequential(self):
         ds = _bench_dataset()
         plan = make_fold_plan(ds.labels, repeats=1, folds=3, seed=4)
-        methods = [IntegratorSpec(kind="ENS-S", base=FAST)]
+        methods = [  # these share base models within each cell
+            IntegratorSpec(kind="ENS-S", base=FAST),
+            IntegratorSpec(kind="ENS-H", base=FAST),
+            IntegratorSpec(kind="PBMV", base=FAST, boosting_rounds=2),
+        ]
         seq = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=5, n_jobs=1)
         par = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=5, n_jobs=2)
         assert seq.to_json() == par.to_json()

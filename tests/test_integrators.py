@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from latefuse import integrators
 from latefuse.integrators import (
     INTEGRATOR_KINDS,
+    FitContext,
     FittedIntegrator,
     IntegrationError,
     IntegratorSpec,
@@ -573,6 +575,73 @@ class TestIncremental:
         ds = _noise_plus_signal_dataset(seed=405).subset_modalities(["good1"])
         with pytest.raises(IntegrationError, match="at least 2"):
             incremental_select(ds, PreprocessConfig(), seed=0)
+
+
+class TestFitContext:
+    def test_methods_of_one_context_share_base_models(self, rng):
+        tables, y = _two_modality_data(rng)
+        fits = FitContext()
+        fitted = {}
+        for i, kind in enumerate(("ENS-H", "ENS-S", "ML", "ADA-H", "ADA-S", "ADA-M", "PBMV")):
+            spec = IntegratorSpec(kind=kind, base=FAST, boosting_rounds=2, ada_inner_folds=2)
+            fitted[kind] = fit_integrator(tables, y, spec, 3, seed=131 * i, fits=fits)
+            alone = fit_integrator(tables, y, spec, 3, seed=131 * i)
+            np.testing.assert_array_equal(
+                fitted[kind].predict(tables).probabilities, alone.predict(tables).probabilities
+            )
+        models_of = {kind: f.predict_values.keywords for kind, f in fitted.items()}
+        ens_h = models_of["ENS-H"]["models"]
+        shared = [
+            models_of["ENS-S"]["models"],
+            models_of["ML"]["base_models"],
+            *(models_of[kind]["rounds"][0][1] for kind in ("ADA-H", "ADA-S", "ADA-M")),
+            [view[0] for view in models_of["PBMV"]["models"]],
+        ]
+        assert len(ens_h) == 2
+        for models in shared:
+            assert len(models) == 2 and all(a is b for a, b in zip(ens_h, models))
+
+    def test_seeded_fits_are_never_shared(self, rng):
+        tables, y = _two_modality_data(rng)
+        X, w = tables[0].values, np.ones(len(y))
+        fits = FitContext()
+        half = GbmParams(n_rounds=4, max_depth=2, subsample=0.5)
+        a, b, again = (fits.gbm(X, y, w, half, seed, 3) for seed in (1, 2, 1))
+        assert a is not b and a is not again
+        assert not np.array_equal(a.decision_scores(X), b.decision_scores(X))
+        np.testing.assert_array_equal(a.decision_scores(X), again.decision_scores(X))
+        spec = IntegratorSpec(kind="ENS-S", base=half)
+        one, two = (
+            fit_integrator(tables, y, spec, 3, seed=s, fits=fits).predict_values.keywords["models"]
+            for s in (1, 2)
+        )
+        assert all(m is not n for m in one for n in two)
+
+    def test_reuse_needs_the_same_request(self, rng):
+        tables, y = _two_modality_data(rng)
+        X, w = tables[0].values, np.ones(len(y))
+        fits = FitContext()
+        first = fits.gbm(X, y, w, FAST, 0, 3)
+        assert fits.gbm(X, y.copy(), w.copy(), FAST, 99, 3) is first  # seed unread
+        y2, w2 = y.copy(), w.copy()
+        y2[0], w2[0] = (y[0] + 1) % 3, 2.0
+        others = [
+            fits.gbm(X.copy(), y, w, FAST, 0, 3),  # equal values, another array
+            fits.gbm(X, y2, w, FAST, 0, 3),
+            fits.gbm(X, y, w2, FAST, 0, 3),
+            fits.gbm(X, y, w, replace(FAST, n_rounds=5), 0, 3),
+            fits.gbm(X, y, w, FAST, 0, 4),
+        ]
+        assert all(m is not first for m in others)
+
+    def test_pbmv_view_that_fits_exactly_keeps_one_model(self, rng):
+        tables, y = _two_modality_data(rng, sep=4.0)
+        spec = IntegratorSpec(kind="PBMV", base=GbmParams(n_rounds=20, max_depth=3),
+                              boosting_rounds=4)
+        fitted = fit_pbmvboost(tables, y, spec, 3, seed=0)
+        for models, table in zip(fitted.predict_values.keywords["models"], tables):
+            assert (models[0].predict_proba(table.values).labels == y).all()
+            assert len(models) == 4 and all(m is models[0] for m in models)
 
 
 class TestDispatch:

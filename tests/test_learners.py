@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,3 +409,28 @@ class TestGbmExactness:
             acc += tree.predict(X_query)
         acc /= len(forest.trees)
         np.testing.assert_array_equal(forest.predict_proba(X_query).probabilities, acc)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_gbm_case(), st.integers(0, 2**32 - 1))
+    def test_seed_is_unused_without_subsampling(self, case, other_seed):
+        # a fit context shares full-sample fits across seeds on this ground
+        X, y, w, params, K, seed = case
+        params = replace(params, subsample=1.0)
+        a = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+        b = fit_gbm(X, y, w, params, seed=other_seed, n_classes=K)
+        assert_same_gbm(a, b, X)
+
+    def test_trees_are_stacked_once_per_model(self, rng, monkeypatch):
+        X = rng.normal(size=(30, 4))
+        y = rng.integers(0, 3, 30)
+        gbm = fit_gbm(X, y, params=GbmParams(n_rounds=3))
+        forest = fit_random_forest(X, y, RandomForestParams(n_trees=3), seed=2)
+        first = [gbm.predict_proba(X).probabilities, forest.predict_proba(X).probabilities]
+        stacks = []
+        stack = DecisionTree.stack
+        monkeypatch.setattr(DecisionTree, "stack",
+                            classmethod(lambda cls, trees: stacks.append(1) or stack(trees)))
+        again = [gbm.predict_proba(X).probabilities, forest.predict_proba(X).probabilities]
+        assert stacks == []
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)

@@ -12,7 +12,6 @@ from latefuse.preprocess import (
     _train_scale,
     normalize,
     prune_correlated,
-    smote_balance,
     smote_balance_tables,
     variance_topk,
 )
@@ -282,18 +281,24 @@ class TestNormalize:
         np.testing.assert_array_equal(out.values[0], [0.0, 0.0])
 
 
+def _smote_one_table(X, y, k=5, seed=0):
+    """smote_balance_tables on one table, as (values, labels)."""
+    (table,), yb = smote_balance_tables([make_table("M", X)], y, k=k, seed=seed)
+    return table.values, yb
+
+
 class TestSmote:
     def test_balanced_is_identity(self, rng):
         X = rng.normal(size=(40, 3))
         y = np.repeat(np.arange(4), 10)
-        Xb, yb = smote_balance(X, y, seed=0)
+        Xb, yb = _smote_one_table(X, y, seed=0)
         np.testing.assert_array_equal(Xb, X)
         np.testing.assert_array_equal(yb, y)
 
     def test_minority_balanced_to_majority(self, rng):
         X = rng.normal(size=(15, 3))
         y = np.array([0] * 10 + [1] * 5)
-        Xb, yb = smote_balance(X, y, seed=0)
+        Xb, yb = _smote_one_table(X, y, seed=0)
         assert len(yb) == 20
         assert int(np.sum(yb == 0)) == 10 and int(np.sum(yb == 1)) == 10
         np.testing.assert_array_equal(Xb[:15], X)  # originals first, untouched
@@ -301,7 +306,7 @@ class TestSmote:
     def test_synthetic_on_segment(self):
         X = np.array([[0.0, 0.0], [2.0, 2.0], [5.0, 5.0], [5.1, 5.1], [4.9, 4.9]])
         y = np.array([0, 0, 1, 1, 1])
-        Xb, yb = smote_balance(X, y, k=1, seed=3)
+        Xb, yb = _smote_one_table(X, y, k=1, seed=3)
         synth = Xb[5:]
         assert (yb[5:] == 0).all()
         for row in synth:
@@ -312,12 +317,12 @@ class TestSmote:
         X = rng.normal(size=(5, 2))
         y = np.array([0, 0, 0, 0, 1])
         with pytest.raises(PreprocessError, match=">=2 samples"):
-            smote_balance(X, y, seed=0)
+            _smote_one_table(X, y, seed=0)
 
     def test_convex_hull_property(self, rng):
         X = rng.normal(size=(30, 4))
         y = np.array([0] * 20 + [1] * 10)
-        Xb, yb = smote_balance(X, y, seed=7)
+        Xb, yb = _smote_one_table(X, y, seed=7)
         minority = X[20:]
         lo, hi = minority.min(axis=0), minority.max(axis=0)
         for row in Xb[30:]:

@@ -5,6 +5,7 @@ every reported number where it was."""
 import hashlib
 import json
 
+from latefuse import integrators
 from latefuse.cli import main
 
 KINDS = ("CONCAT", "ENS-H", "ENS-S", "ML", "ADA-H", "ADA-S", "ADA-M", "PBMV", "MOE-COMBN")
@@ -41,13 +42,39 @@ CONFIG = {
 EXPECTED_SHA256 = "43f515a1b011157a043802e070981c094fa00748b69837aa178e199190c1b7ba"
 
 
-def test_report_bytes_unchanged(tmp_path, monkeypatch):
+def _run(tmp_path, monkeypatch) -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(CONFIG))
     assert main(["run", "-c", "config.json"]) == 0
+
+
+def test_report_bytes_unchanged(tmp_path, monkeypatch):
+    _run(tmp_path, monkeypatch)
     digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
     assert digest == EXPECTED_SHA256, (
         f"report.json sha256 is {digest}, recorded {EXPECTED_SHA256}. A change that moves "
         "the report's numbers on purpose re-records EXPECTED_SHA256 and names the numbers "
         "that moved, and why, in CHANGES.md."
     )
+
+
+def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
+    # Over both cells the methods ask for 104 base GBMs. 44 of them repeat an
+    # earlier request of their cell at subsample 1 (ENS-H/ENS-S, ML's base
+    # models, round 1 of each ADA-* and PBMV, and PBMV's later rounds once a
+    # view fits its training rows), so 60 are fitted.
+    counts = {"requests": 0, "fits": 0}
+    request, fit = integrators.FitContext.gbm, integrators.fit_gbm
+
+    def counted_request(*args, **kwargs):
+        counts["requests"] += 1
+        return request(*args, **kwargs)
+
+    def counted_fit(*args, **kwargs):
+        counts["fits"] += 1
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(integrators.FitContext, "gbm", counted_request)
+    monkeypatch.setattr(integrators, "fit_gbm", counted_fit)
+    _run(tmp_path, monkeypatch)
+    assert counts == {"requests": 104, "fits": 60}
