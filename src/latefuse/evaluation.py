@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from .data import FoldPlan, MultiModalDataset
 from .feature_selection import (
@@ -112,6 +112,18 @@ class MetricSet:
     unknown_rate: float
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, tied values sharing their average rank: the
+    ranks of scipy.stats.rankdata(x, method="average")."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_per_class(
     probabilities: np.ndarray, truth: np.ndarray, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +140,7 @@ def auc_per_class(
         n_neg = len(truth) - n_pos
         if n_pos == 0 or n_neg == 0:
             continue
-        ranks = stats.rankdata(probabilities[:, k], method="average")
+        ranks = _average_ranks(probabilities[:, k])
         r_pos = ranks[pos].sum()
         aucs[k] = (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         valid[k] = True
@@ -227,7 +239,7 @@ def corrected_ttest(
     if var == 0.0:
         return TTestResult(t=0.0, p_value=1.0 if mean == 0.0 else 0.0, degenerate=True)
     t = mean / np.sqrt((1.0 / j + n_test / n_train) * var)
-    p = 2.0 * float(stats.t.sf(abs(t), j - 1))
+    p = 2.0 * float(stdtr(j - 1, -abs(t)))  # the survival function at |t|
     return TTestResult(t=float(t), p_value=p)
 
 

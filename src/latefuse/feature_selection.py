@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .learners import GbmParams, fit_gbm
 
@@ -71,6 +70,8 @@ def boruta_select(
     rejects and removes the feature. Whatever is undecided after max_iter
     stays tentative.
     """
+    from scipy import stats  # imported here so that `latefuse run` never loads it
+
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     if X.ndim != 2 or X.shape[1] == 0 or len(X) == 0:

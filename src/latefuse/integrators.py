@@ -611,15 +611,19 @@ def _minimize_view_bound(
 
 
 def _predict_pbmv(values, *, models, q, rho, n_classes):
-    """Vote of every (view, round) classifier with weight rho[v] * q[v][t]."""
+    """Vote of every (view, round) classifier with weight rho[v] * q[v][t].
+
+    A model that several rounds of a view share predicts once."""
     n = len(values[0])
     scores = np.zeros((n, n_classes), dtype=np.float64)
     for v, x in enumerate(values):
+        labels: dict[int, np.ndarray] = {}
         for t, model in enumerate(models[v]):
             if q[v][t] <= 0:
                 continue
-            labels = model.predict_proba(x).labels
-            scores[np.arange(n), labels] += rho[v] * q[v][t]
+            if id(model) not in labels:
+                labels[id(model)] = model.predict_proba(x).labels
+            scores[np.arange(n), labels[id(model)]] += rho[v] * q[v][t]
     return PredictionSet.from_probabilities(_normalize_rows(scores, n_classes))
 
 
@@ -657,7 +661,10 @@ def fit_pbmvboost(
     for t in range(spec.boosting_rounds):
         for v, table in enumerate(tables):
             model = fits.gbm(table.values, labels, d_v[v], spec.base, seed + 2003 * t + 29 * v, K)
-            pred = model.predict_proba(table.values).labels
+            if t > 0 and model is per_view_models[v][-1]:
+                pred = train_labels[v][-1]  # the previous round's model, shared by fits
+            else:
+                pred = model.predict_proba(table.values).labels
             mis = pred != labels
             eps = float(d_v[v][mis].sum() / d_v[v].sum())
             eps = min(max(eps, 1e-10), 1.0 - 1e-10)

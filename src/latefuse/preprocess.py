@@ -104,16 +104,54 @@ def _pairwise_complete_correlation(values: np.ndarray) -> np.ndarray:
     return r
 
 
+def _dense_high_correlation(values: np.ndarray, threshold: float) -> np.ndarray | None:
+    """`|r| > threshold` for a table with no missing cell, from one Gram
+    product of centred unit-norm columns; None where it could disagree with
+    `_pairwise_complete_correlation`.
+
+    The pairwise formula subtracts uncentred sums, so its r is off by up to
+    about n * eps * kappa, where kappa = sum(x^2) / sum(xc^2) is a column's
+    conditioning. With tol = 64 * n * eps, the comparison is left to that
+    formula when n < 3, when some column is near-constant
+    (sum(xc^2) <= tol * sum(x^2)), or when some |r| lies within
+    tol * max(kappa) of the threshold.
+    """
+    n = len(values)
+    if n < 3 or not np.isfinite(values).all():
+        return None
+    tol = 64 * n * np.finfo(np.float64).eps
+    xc = values - values.mean(axis=0)
+    centred = np.einsum("ij,ij->j", xc, xc)
+    raw = np.einsum("ij,ij->j", values, values)
+    if (centred <= tol * raw).any():
+        return None
+    z = xc / np.sqrt(centred)
+    r = z.T @ z
+    np.abs(r, out=r)
+    np.fill_diagonal(r, 0.0)  # the greedy pass never compares a column with itself
+    margin = tol * float((raw / centred).max())
+    high = r > threshold + margin
+    if (high != (r > threshold - margin)).any():
+        return None
+    return high
+
+
 def prune_correlated(table: ModalityTable, cfg: PreprocessConfig) -> ModalityTable:
     """Greedy pass in column order: drop the later column of each highly
-    correlated pair (|pairwise-complete Pearson r| > threshold)."""
+    correlated pair (|pairwise-complete Pearson r| > threshold).
+
+    A table with no missing cell takes the dense `_dense_high_correlation`
+    path, which keeps the same columns."""
     f = table.n_features
     if f < 2:
         return table
-    r = np.abs(_pairwise_complete_correlation(table.values))
-    high = r > cfg.correlation_threshold
+    threshold = cfg.correlation_threshold
+    high = _dense_high_correlation(table.values, threshold)
+    if high is None:
+        high = np.abs(_pairwise_complete_correlation(table.values)) > threshold
     keep = np.ones(f, dtype=bool)
-    for j in range(1, f):
+    # a column with no high partner before it is always kept
+    for j in np.flatnonzero(np.tril(high, -1).any(axis=1)):
         if high[j, :j][keep[:j]].any():
             keep[j] = False
     return table.take_columns(np.flatnonzero(keep))

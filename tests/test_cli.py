@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import latefuse
 from latefuse.cli import main
 
 
@@ -87,6 +91,25 @@ class TestRun:
         first = (tmp_path / "out" / "report.json").read_bytes()
         main(["run", "-c", str(cfg)])
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+
+    def test_never_imports_scipy_stats(self, tmp_path):
+        # a fresh interpreter: this test process has scipy.stats loaded already
+        cfg = _write_config(tmp_path / "config.json")
+        script = (
+            "import sys\n"
+            "import latefuse.cli\n"
+            "assert 'scipy.stats' not in sys.modules, 'import'\n"
+            f"assert latefuse.cli.main(['run', '-c', {str(cfg)!r}]) == 0\n"
+            "assert 'scipy.stats' not in sys.modules, 'run'\n"
+        )
+        src = str(Path(latefuse.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["significance"]  # the run made its t-tests
 
     def test_partial_method_failure_exits_two(self, tmp_path):
         cfg = _write_config(

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from latefuse.data import make_fold_plan
 from latefuse.evaluation import (
     EvaluationError,
+    _average_ranks,
     compute_metrics,
     confusion_counts,
     corrected_ttest,
@@ -158,7 +162,34 @@ class TestAuc:
                 assert aucs[k] == pytest.approx(wins / (len(pos) * len(neg)), abs=1e-12)
 
 
+class TestAverageRanks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        distinct=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_scipy_rankdata(self, n, distinct, seed):
+        # `distinct` below n forces ties; at or above it most values are unique
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([rng.normal(size=distinct), [0.0, -0.0]])
+        x = rng.choice(pool, size=n)
+        np.testing.assert_array_equal(_average_ranks(x), stats.rankdata(x, method="average"))
+
+    def test_untied_and_all_tied(self, rng):
+        x = rng.permutation(20).astype(float)
+        np.testing.assert_array_equal(_average_ranks(x), x + 1.0)
+        np.testing.assert_array_equal(_average_ranks(np.full(5, 0.3)), np.full(5, 3.0))
+
+
 class TestCorrectedTTest:
+    def test_p_value_is_two_sided_student_t(self, rng):
+        for j in (2, 3, 5, 10, 25):
+            for _ in range(20):
+                a, b = rng.uniform(size=j), rng.uniform(size=j)
+                r = corrected_ttest(a, b, n_train=80, n_test=20)
+                assert r.p_value == 2.0 * float(stats.t.sf(abs(r.t), j - 1))
+
     def test_identical_series(self):
         r = corrected_ttest([0.5, 0.6, 0.7], [0.5, 0.6, 0.7], 80, 20)
         assert r.t == 0.0 and r.p_value == 1.0 and r.degenerate

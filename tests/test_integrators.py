@@ -643,6 +643,32 @@ class TestFitContext:
             assert (models[0].predict_proba(table.values).labels == y).all()
             assert len(models) == 4 and all(m is models[0] for m in models)
 
+    def test_pbmv_predicts_a_shared_model_once(self, rng, monkeypatch):
+        class Unshared(FitContext):
+            def gbm(self, X, y, w, params, seed, K):
+                return fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+
+        tables, y = _two_modality_data(rng, sep=4.0)
+        spec = IntegratorSpec(kind="PBMV", base=GbmParams(n_rounds=20, max_depth=3),
+                              boosting_rounds=4)
+        calls = {"n": 0}
+        predict = integrators.GbmModel.predict_proba
+
+        def counted(self, X):
+            calls["n"] += 1
+            return predict(self, X)
+
+        monkeypatch.setattr(integrators.GbmModel, "predict_proba", counted)
+        # every round a fresh model: one prediction per (view, round) in fit and predict
+        unshared = fit_pbmvboost(tables, y, spec, 3, seed=0, fits=Unshared())
+        expected = unshared.predict(tables).probabilities
+        assert calls["n"] == 2 * 2 * 4
+        calls["n"] = 0
+        shared = fit_pbmvboost(tables, y, spec, 3, seed=0)
+        np.testing.assert_array_equal(shared.predict(tables).probabilities, expected)
+        assert shared.extras == unshared.extras
+        assert calls["n"] == 2 * 2  # each view's one model, once in fit and once in predict
+
 
 class TestDispatch:
     def test_all_kinds_fit_and_predict(self, rng):

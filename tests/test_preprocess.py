@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latefuse import preprocess
 from latefuse.preprocess import (
     PreprocessConfig,
     PreprocessError,
     filter_sparse,
     fit_preprocessor,
     impute_knn,
+    _pairwise_complete_correlation,
     _train_scale,
     normalize,
     prune_correlated,
@@ -79,6 +81,138 @@ class TestPruneCorrelated:
     def test_uncorrelated_untouched(self, rng):
         table = make_table(values=rng.normal(size=(50, 4)))
         assert prune_correlated(table, CFG).n_features == 4
+
+
+def reference_prune_correlated(table, cfg):
+    """The pairwise-complete pass that every table took before the dense
+    path, kept as the exact oracle."""
+    f = table.n_features
+    if f < 2:
+        return table
+    r = np.abs(_pairwise_complete_correlation(table.values))
+    high = r > cfg.correlation_threshold
+    keep = np.ones(f, dtype=bool)
+    for j in range(1, f):
+        if high[j, :j][keep[:j]].any():
+            keep[j] = False
+    return table.take_columns(np.flatnonzero(keep))
+
+
+WELL_CONDITIONED = ("normal", "scaled", "rounded", "duplicate", "negated")
+COLUMN_KINDS = WELL_CONDITIONED + ("offset", "constant", "near_constant")
+
+
+def _column(kind, cols, n, threshold, offsets, rng):
+    x = rng.normal(size=n)
+    if kind == "offset":
+        return x + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 6)
+    if kind == "scaled":
+        return x * 10.0 ** rng.uniform(-6, 6)
+    if kind == "rounded":
+        return np.round(x * rng.integers(1, 4))  # few values, many ties
+    if kind in ("duplicate", "negated") and cols:
+        base = cols[rng.integers(len(cols))]
+        # noise sized for |r| about threshold, exactly 0 for a plain copy
+        ratio = rng.choice([0.0, np.sqrt(1.0 / threshold**2 - 1.0) * rng.uniform(0.9, 1.1)])
+        out = base * rng.uniform(0.5, 2.0) + ratio * base.std() * x
+        out = -out if kind == "negated" else out
+        return out + rng.choice([0.0, 1e6]) if offsets else out
+    if kind == "constant":
+        return np.full(n, rng.choice([0.0, 1.0, 1e6]))
+    if kind == "near_constant":
+        return rng.choice([0.0, 5.0, 1e6]) + 10.0 ** rng.uniform(-15, -8) * x
+    return x
+
+
+class TestPruneCorrelatedDensePath:
+    """A table with no missing cell gets |r| from one Gram product and keeps
+    exactly the columns the pairwise-complete formula keeps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 100),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=2, max_size=40),
+        threshold=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
+        well_conditioned=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_keeps_the_reference_columns(self, n, kinds, threshold, well_conditioned, seed):
+        # well-conditioned tables mostly take the dense path; the others
+        # mix in columns that send it back to the pairwise formula
+        rng = np.random.default_rng(seed)
+        cols: list = []
+        for kind in kinds:
+            if well_conditioned and kind not in WELL_CONDITIONED:
+                kind = "normal"
+            cols.append(_column(kind, cols, n, threshold, not well_conditioned, rng))
+        table = make_table(values=np.column_stack(cols))
+        cfg = PreprocessConfig(correlation_threshold=threshold)
+        assert (
+            prune_correlated(table, cfg).feature_names
+            == reference_prune_correlated(table, cfg).feature_names
+        )
+
+    def _count_pairwise(self, monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(values.shape)
+            return _pairwise_complete_correlation(values)
+
+        monkeypatch.setattr(preprocess, "_pairwise_complete_correlation", counted)
+        return calls
+
+    @pytest.mark.parametrize("threshold,n_kept", [(0.9, 28), (1.0, 30)])
+    def test_well_conditioned_table_skips_pairwise_formula(
+        self, rng, monkeypatch, threshold, n_kept
+    ):
+        def fail(values):
+            raise AssertionError("pairwise formula called on a dense table")
+
+        values = rng.normal(size=(60, 30))
+        values[:, 7] = 2.0 * values[:, 2] + 0.01 * rng.normal(size=60)
+        values[:, 9] = 3.0 - values[:, 2] + 0.01 * rng.normal(size=60)
+        table = make_table(values=values)
+        cfg = PreprocessConfig(correlation_threshold=threshold)
+        expected = reference_prune_correlated(table, cfg).feature_names
+        monkeypatch.setattr(preprocess, "_pairwise_complete_correlation", fail)
+        out = prune_correlated(table, cfg)
+        assert out.feature_names == expected
+        assert out.n_features == n_kept
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_near_threshold_pair_uses_pairwise_formula(self, rng, monkeypatch, offset):
+        # the threshold lies between the exact r and the pairwise formula's r,
+        # which an offset of 1e4 moves by about 1e-8
+        x = rng.normal(size=40)
+        y = x + 0.5 * rng.normal(size=40)
+        values = np.column_stack([x, y, rng.normal(size=40)]) + offset
+        exact = abs(np.corrcoef(x, y)[0, 1])
+        pairwise = abs(_pairwise_complete_correlation(values)[1, 0])
+        cfg = PreprocessConfig(correlation_threshold=float((exact + pairwise) / 2))
+        table = make_table(values=values)
+        calls = self._count_pairwise(monkeypatch)
+        out = prune_correlated(table, cfg)
+        assert calls == [(40, 3)]
+        assert out.feature_names == reference_prune_correlated(table, cfg).feature_names
+
+    @pytest.mark.parametrize("level,spread", [(5.0, 1e-12), (0.0, 0.0), (0.1, 0.0)])
+    def test_near_constant_column_uses_pairwise_formula(self, rng, monkeypatch, level, spread):
+        values = rng.normal(size=(40, 3))
+        values[:, 1] = level + spread * rng.normal(size=40)
+        table = make_table(values=values)
+        calls = self._count_pairwise(monkeypatch)
+        out = prune_correlated(table, CFG)
+        assert calls == [(40, 3)]
+        assert out.feature_names == reference_prune_correlated(table, CFG).feature_names
+
+    def test_missing_cell_uses_pairwise_formula(self, rng, monkeypatch):
+        values = rng.normal(size=(40, 3))
+        values[4, 0] = np.nan
+        table = make_table(values=values)
+        calls = self._count_pairwise(monkeypatch)
+        prune_correlated(table, CFG)
+        assert calls == [(40, 3)]
 
 
 class TestVarianceTopK:

@@ -1,11 +1,11 @@
-"""`latefuse run` on a small fixed config writes the same report.json bytes
+"""`latefuse run` on small fixed configs writes the same report.json bytes
 as recorded: a guard that changes meant to be speed-ups or refactors leave
 every reported number where it was."""
 
 import hashlib
 import json
 
-from latefuse import integrators
+from latefuse import integrators, preprocess
 from latefuse.cli import main
 
 KINDS = ("CONCAT", "ENS-H", "ENS-S", "ML", "ADA-H", "ADA-S", "ADA-M", "PBMV", "MOE-COMBN")
@@ -41,21 +41,72 @@ CONFIG = {
 # root state and stopped walking trees during fitting.
 EXPECTED_SHA256 = "43f515a1b011157a043802e070981c094fa00748b69837aa178e199190c1b7ba"
 
+# Correlation pruning drops columns in both modalities: DENSE (no missing
+# cell, strongly separated informative columns that correlate above 0.9)
+# takes the dense path, GAPPY (missing cells) the pairwise-complete one.
+PRUNE_CONFIG = {
+    "seed": 5,
+    "output_dir": "out",
+    "synth": {
+        "n_samples": 40,
+        "n_classes": 3,
+        "modalities": [
+            {"name": "DENSE", "n_features": 300, "n_informative": 40, "separation": 4.0},
+            {"name": "GAPPY", "n_features": 30, "n_informative": 12, "separation": 4.0,
+             "missing_fraction": 0.1},
+        ],
+    },
+    "folds": {"repeats": 1, "folds": 2},
+    "methods": [{"kind": "ENS-S", "base": {"n_rounds": 5, "max_depth": 2}}],
+}
 
-def _run(tmp_path, monkeypatch) -> None:
+# sha256 of report.json for PRUNE_CONFIG, recorded while every table still
+# took the pairwise-complete correlation formula.
+PRUNE_SHA256 = "381e75b901ba0b3d4f9bc41e8e4bcc1b098f8cc4e377b6a9b99067760bdeb704"
+
+
+def _run(tmp_path, monkeypatch, config=CONFIG) -> None:
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    (tmp_path / "config.json").write_text(json.dumps(config))
     assert main(["run", "-c", "config.json"]) == 0
+
+
+def _assert_digest(tmp_path, expected) -> None:
+    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+    assert digest == expected, (
+        f"report.json sha256 is {digest}, recorded {expected}. A change that moves "
+        "the report's numbers on purpose re-records the digest and names the numbers "
+        "that moved, and why, in CHANGES.md."
+    )
 
 
 def test_report_bytes_unchanged(tmp_path, monkeypatch):
     _run(tmp_path, monkeypatch)
-    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
-    assert digest == EXPECTED_SHA256, (
-        f"report.json sha256 is {digest}, recorded {EXPECTED_SHA256}. A change that moves "
-        "the report's numbers on purpose re-records EXPECTED_SHA256 and names the numbers "
-        "that moved, and why, in CHANGES.md."
-    )
+    _assert_digest(tmp_path, EXPECTED_SHA256)
+
+
+def test_pruning_report_bytes_unchanged(tmp_path, monkeypatch):
+    pruned, dense = [], []
+    prune, dense_high = preprocess.prune_correlated, preprocess._dense_high_correlation
+
+    def recorded_prune(table, cfg):
+        out = prune(table, cfg)
+        pruned.append((table.modality_name, table.n_features, out.n_features))
+        return out
+
+    def recorded_dense(values, threshold):
+        high = dense_high(values, threshold)
+        dense.append(high is not None)
+        return high
+
+    monkeypatch.setattr(preprocess, "prune_correlated", recorded_prune)
+    monkeypatch.setattr(preprocess, "_dense_high_correlation", recorded_dense)
+    _run(tmp_path, monkeypatch, PRUNE_CONFIG)
+    _assert_digest(tmp_path, PRUNE_SHA256)
+    # one fit per modality and fold, in modality order
+    assert [name for name, _, _ in pruned] == ["DENSE", "GAPPY"] * 2
+    assert dense == [True, False] * 2
+    assert all(n_out < n_in for _, n_in, n_out in pruned)
 
 
 def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
