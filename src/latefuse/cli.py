@@ -82,17 +82,14 @@ def _write_report_files(report: EvaluationReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
 
-    rows = report.records_csv_rows()
     with open(out_dir / "records.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [
+        writer = csv.DictWriter(fh, [
             "method", "repeat", "fold", "class_index", "class_name",
             "tp", "fp", "tn", "fn", "accuracy", "sensitivity", "specificity",
             "precision", "recall", "f1", "auc", "auc_valid",
-        ]
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[h] for h in header])
+        ])
+        writer.writeheader()
+        writer.writerows(report.records_csv_rows())
 
     for label, method in report.methods.items():
         if method.signature is None:

@@ -175,16 +175,6 @@ def _read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _parse_cell(token: str, missing_tokens: frozenset[str], where: str) -> float:
-    token = token.strip()
-    if token in missing_tokens:
-        return np.nan
-    try:
-        return float(token)
-    except ValueError:
-        raise DataError(f"{where}: unparseable cell {token!r}") from None
-
-
 def load_labels(labels_file: str | Path) -> tuple[list[str], list[str]]:
     """Read a labels CSV (columns sample_id,class) preserving file order."""
     header, rows = _read_csv_rows(labels_file)
@@ -228,7 +218,12 @@ def load_modality_table(
         if len(row) != len(header):
             raise DataError(f"{path}: row {sid!r} has {len(row)} cells, expected {len(header)}")
         for j, token in enumerate(row[1:]):
-            values[i, j] = _parse_cell(token, tokens, f"{path}:{sid}:{feature_names[j]}")
+            token = token.strip()
+            try:
+                values[i, j] = np.nan if token in tokens else float(token)
+            except ValueError:
+                where = f"{path}:{sid}:{feature_names[j]}"
+                raise DataError(f"{where}: unparseable cell {token!r}") from None
     return ModalityTable(name, sample_ids, feature_names, values)
 
 

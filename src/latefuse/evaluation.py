@@ -5,6 +5,8 @@ Zero-division cells (e.g. no predicted positives) score 0 and are flagged
 rather than propagating NaN, so aggregates stay defined on tiny folds.
 An abstention label (-1) never matches any class: it counts against every
 metric and is additionally reported as unknown_rate.
+
+Fold and class records are plain dicts, shaped as report.json writes them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +29,7 @@ from .feature_selection import (
 )
 from .integrators import FitContext, IntegratorSpec, fit_integrator
 from .learners import PredictionSet
-from .preprocess import PreprocessConfig, fit_preprocessor, smote_balance_tables
+from .preprocess import PreprocessConfig, prepare_fold
 
 REPORT_VERSION = 1
 
@@ -52,33 +55,36 @@ def confusion_counts(pred_labels: np.ndarray, truth: np.ndarray, n_classes: int)
     truth = np.asarray(truth, dtype=np.intp)
     if len(pred_labels) != len(truth):
         raise EvaluationError("prediction/truth length mismatch")
-    n = len(truth)
-    counts = np.zeros((n_classes, 4), dtype=np.intp)
-    for k in range(n_classes):
-        pred_pos = pred_labels == k
-        true_pos = truth == k
-        tp = int(np.sum(pred_pos & true_pos))
-        fp = int(np.sum(pred_pos & ~true_pos))
-        fn = int(np.sum(~pred_pos & true_pos))
-        counts[k] = (tp, fp, n - tp - fp - fn, fn)
-    return counts
+    tp = np.bincount(truth[pred_labels == truth], minlength=n_classes)
+    fp = np.bincount(pred_labels[pred_labels >= 0], minlength=n_classes) - tp
+    fn = np.bincount(truth, minlength=n_classes) - tp
+    return np.stack([tp, fp, len(truth) - tp - fp - fn, fn], axis=1)
 
 
-def _safe_div(num: float, den: float) -> tuple[float, bool]:
-    if den == 0:
-        return 0.0, True
-    return num / den, False
+_RATE_NAMES = ("sensitivity", "specificity", "precision", "f1")
+
+
+def _class_rates(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sensitivity, specificity, precision and F1 of every class from the
+    (K, 4) counts, as rows of a (4, K) array in _RATE_NAMES order, plus a
+    (4, K) mask of the rates whose denominator was 0 and which score 0."""
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(len(den)), where=den != 0)
+
+    tp, fp, tn, fn = counts.T
+    sens, spec, prec = ratio(tp, tp + fn), ratio(tn, tn + fp), ratio(tp, tp + fp)
+    f1 = ratio(2 * prec * sens, prec + sens)
+    zero = np.array([tp + fn == 0, tn + fp == 0, tp + fp == 0, prec + sens == 0])
+    # each macro is np.mean over one contiguous row, which adds in the
+    # same order as a mean over a list of the per-class values
+    return np.array([sens, spec, prec, f1]), zero
 
 
 def macro_f1(pred_labels: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
     """Unweighted mean of per-class one-vs-rest F1 scores."""
-    f1s = []
-    for tp, fp, _, fn in confusion_counts(pred_labels, truth, n_classes):
-        p, _ = _safe_div(tp, tp + fp)
-        r, _ = _safe_div(tp, tp + fn)
-        f1, _ = _safe_div(2 * p * r, p + r)
-        f1s.append(f1)
-    return float(np.mean(f1s))
+    rates, _ = _class_rates(confusion_counts(pred_labels, truth, n_classes))
+    return float(np.mean(rates[3]))
 
 
 @dataclass
@@ -156,51 +162,36 @@ def compute_metrics(predictions: PredictionSet, truth: np.ndarray) -> MetricSet:
     n_classes = predictions.n_classes
     n = len(truth)
     counts = confusion_counts(predictions.labels, truth, n_classes)
+    rates, zero = _class_rates(counts)
     aucs, auc_valid = auc_per_class(predictions.probabilities, truth, n_classes)
-
-    per_class = []
-    for k in range(n_classes):
-        tp, fp, tn, fn = (int(v) for v in counts[k])
-        flags = []
-        acc = (tp + tn) / n
-        sens, fl = _safe_div(tp, tp + fn)
-        if fl:
-            flags.append("sensitivity")
-        spec, fl = _safe_div(tn, tn + fp)
-        if fl:
-            flags.append("specificity")
-        prec, fl = _safe_div(tp, tp + fp)
-        if fl:
-            flags.append("precision")
-        f1, fl = _safe_div(2 * prec * sens, prec + sens)
-        if fl:
-            flags.append("f1")
-        per_class.append(
-            PerClassMetrics(
-                class_index=k,
-                tp=tp, fp=fp, tn=tn, fn=fn,
-                accuracy=acc,
-                sensitivity=sens,
-                specificity=spec,
-                precision=prec,
-                recall=sens,
-                f1=f1,
-                auc=float(aucs[k]),
-                auc_valid=bool(auc_valid[k]),
-                zero_division_flags=flags,
-            )
+    per_class = [
+        PerClassMetrics(
+            class_index=k,
+            tp=tp, fp=fp, tn=tn, fn=fn,
+            accuracy=(tp + tn) / n,
+            sensitivity=sens,
+            specificity=spec,
+            precision=prec,
+            recall=sens,
+            f1=f1,
+            auc=float(aucs[k]),
+            auc_valid=bool(auc_valid[k]),
+            zero_division_flags=[name for name, z in zip(_RATE_NAMES, zero[:, k]) if z],
         )
-
-    overall_accuracy = float(np.sum(predictions.labels == truth) / n)
+        for k, ((tp, fp, tn, fn), (sens, spec, prec, f1)) in enumerate(
+            zip(counts.tolist(), rates.T.tolist())
+        )
+    ]
+    sens, spec, prec, f1 = rates
     macro_auc = float(aucs[auc_valid].mean()) if auc_valid.any() else 0.0
     return MetricSet(
-        accuracy=overall_accuracy,
+        accuracy=float(np.sum(predictions.labels == truth) / n),
         per_class=per_class,
-        macro_sensitivity=float(np.mean([c.sensitivity for c in per_class])),
-        macro_specificity=float(np.mean([c.specificity for c in per_class])),
-        macro_precision=float(np.mean([c.precision for c in per_class])),
-        macro_recall=float(np.mean([c.recall for c in per_class])),
-        macro_f1=float(np.mean([c.f1 for c in per_class])),
+        macro_sensitivity=float(np.mean(sens)),
+        macro_specificity=float(np.mean(spec)),
+        macro_precision=float(np.mean(prec)),
+        macro_recall=float(np.mean(sens)),
+        macro_f1=float(np.mean(f1)),
         macro_auc=macro_auc,
         unknown_rate=float(np.mean(predictions.labels == -1)),
     )
@@ -249,44 +240,11 @@ def corrected_ttest(
 
 
 @dataclass
-class FoldClassRecord:
-    method: str
-    repeat: int
-    fold: int
-    class_index: int
-    class_name: str
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    precision: float
-    recall: float
-    f1: float
-    auc: float
-    auc_valid: bool
-
-
-@dataclass
-class FoldRecord:
-    method: str
-    repeat: int
-    fold: int
-    n_test: int
-    accuracy: float
-    macro_f1: float
-    macro_auc: float
-    unknown_rate: float
-
-
-@dataclass
 class MethodResult:
     label: str
     spec: IntegratorSpec
-    fold_records: list = field(default_factory=list)
-    class_records: list = field(default_factory=list)
+    fold_records: list = field(default_factory=list)  # one dict per scored cell
+    class_records: list = field(default_factory=list)  # one dict per cell and class
     per_fold_scores: list = field(default_factory=list)  # raw importance maps
     selected_sets: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
@@ -334,8 +292,8 @@ class EvaluationReport:
             out["methods"][label] = {
                 "kind": method.spec.kind,
                 "aggregates": method.aggregates,
-                "fold_records": [asdict(r) for r in method.fold_records],
-                "class_records": [asdict(r) for r in method.class_records],
+                "fold_records": method.fold_records,
+                "class_records": method.class_records,
                 "signature": method.signature.to_rows() if method.signature else [],
                 "stability": method.stability.to_json_dict() if method.stability else None,
                 "extras": method.extras,
@@ -347,11 +305,7 @@ class EvaluationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def records_csv_rows(self) -> list[dict]:
-        rows = []
-        for label in self.methods:
-            for r in self.methods[label].class_records:
-                rows.append(asdict(r))
-        return rows
+        return [r for m in self.methods.values() for r in m.class_records]
 
 
 def _cell_seed(seed: int, repeat: int, fold: int) -> int:
@@ -361,28 +315,18 @@ def _cell_seed(seed: int, repeat: int, fold: int) -> int:
 
 
 def _run_cell(args) -> dict:
-    """Fit preprocessing and every method on one (repeat, fold) cell.
+    """Prepare one (repeat, fold) cell and fit and score every method on it.
 
-    Standalone function so cells can run in worker processes; returns plain
-    records keyed by method label. The methods share one FitContext, so a
-    base GBM that several of them fit is fitted once.
+    Standalone function so cells can run in worker processes; returns each
+    method's fold and class records, as report.json writes them, keyed by
+    method label. The methods share one FitContext, so a base GBM that
+    several of them fit is fitted once.
     """
     dataset, plan, methods, cfg, seed, repeat, fold = args
-    n = dataset.n_samples
     test_idx = plan.test_indices(repeat, fold)
-    train_idx = plan.train_indices(repeat, fold, n)
-    train_tables, y_train = dataset.take_rows(train_idx)
-    test_tables, y_test = dataset.take_rows(test_idx)
-
-    pres = [fit_preprocessor(t, cfg) for t in train_tables]
-    train_p = [p.train_transformed for p in pres]
-    test_p = [p.transform(t) for p, t in zip(pres, test_tables)]
-    if cfg.smote_enabled:
-        train_fit, y_fit = smote_balance_tables(
-            train_p, y_train, k=cfg.smote_k, seed=_cell_seed(seed, repeat, fold)
-        )
-    else:
-        train_fit, y_fit = train_p, y_train
+    train_idx = plan.train_indices(repeat, fold, dataset.n_samples)
+    cell_seed = _cell_seed(seed, repeat, fold)
+    train_fit, y_fit, test_p, y_test = prepare_fold(dataset, train_idx, test_idx, cfg, cell_seed)
 
     fits = FitContext()
     out: dict = {}
@@ -390,26 +334,38 @@ def _run_cell(args) -> dict:
         label = spec.label
         try:
             fitted = fit_integrator(
-                train_fit, y_fit, spec, dataset.n_classes,
-                seed=_cell_seed(seed, repeat, fold) + 131 * mi, fits=fits,
+                train_fit, y_fit, spec, dataset.n_classes, seed=cell_seed + 131 * mi, fits=fits
             )
-            predictions = fitted.predict(test_p)
-            metrics = compute_metrics(predictions, y_test)
+            metrics = compute_metrics(fitted.predict(test_p), y_test)
             scores = fitted.feature_scores()
             if spec.kind == "ML":  # every meta feature counts as selected
                 selected = set(scores)
             else:
                 selected = {key for key, v in scores.items() if v > 0}
-            out[label] = {
-                "metrics": metrics,
-                "scores": scores,
-                "selected": selected,
-                "extras": fitted.extras,
-                "n_test": len(test_idx),
-                "failure": None,
-            }
         except Exception as e:  # method failure must not sink other methods
             out[label] = {"failure": f"{type(e).__name__}: {e}"}
+            continue
+        cell = {"method": label, "repeat": repeat, "fold": fold}
+        class_records = [
+            {**cell, "class_name": dataset.class_names[c.class_index], **asdict(c)}
+            for c in metrics.per_class
+        ]
+        for record in class_records:
+            del record["zero_division_flags"]
+        out[label] = {
+            "fold_record": {
+                **cell,
+                "n_test": len(test_idx),
+                "accuracy": metrics.accuracy,
+                "macro_f1": metrics.macro_f1,
+                "macro_auc": metrics.macro_auc,
+                "unknown_rate": metrics.unknown_rate,
+            },
+            "class_records": class_records,
+            "scores": scores,
+            "selected": selected,
+            "extras": fitted.extras,
+        }
     return out
 
 
@@ -443,60 +399,21 @@ def run_cv_benchmark(
         spec.label: MethodResult(label=spec.label, spec=spec) for spec in methods
     }
     for (repeat, fold), result in zip(cells, cell_results):
-        for spec in methods:
-            label = spec.label
-            payload = result[label]
+        for label, payload in result.items():
             m = methods_out[label]
-            if payload["failure"] is not None:
-                m.failures.append(
-                    {"repeat": repeat, "fold": fold, "error": payload["failure"]}
-                )
+            if "failure" in payload:
+                m.failures.append({"repeat": repeat, "fold": fold, "error": payload["failure"]})
                 continue
-            metrics: MetricSet = payload["metrics"]
-            m.fold_records.append(
-                FoldRecord(
-                    method=label,
-                    repeat=repeat,
-                    fold=fold,
-                    n_test=payload["n_test"],
-                    accuracy=metrics.accuracy,
-                    macro_f1=metrics.macro_f1,
-                    macro_auc=metrics.macro_auc,
-                    unknown_rate=metrics.unknown_rate,
-                )
-            )
-            for c in metrics.per_class:
-                m.class_records.append(
-                    FoldClassRecord(
-                        method=label,
-                        repeat=repeat,
-                        fold=fold,
-                        class_index=c.class_index,
-                        class_name=dataset.class_names[c.class_index],
-                        tp=c.tp, fp=c.fp, tn=c.tn, fn=c.fn,
-                        accuracy=c.accuracy,
-                        sensitivity=c.sensitivity,
-                        specificity=c.specificity,
-                        precision=c.precision,
-                        recall=c.recall,
-                        f1=c.f1,
-                        auc=c.auc,
-                        auc_valid=c.auc_valid,
-                    )
-                )
-            m.per_fold_scores.append(
-                {k: float(v) for k, v in payload["scores"].items()}
-            )
+            m.fold_records.append(payload["fold_record"])
+            m.class_records.extend(payload["class_records"])
+            m.per_fold_scores.append({k: float(v) for k, v in payload["scores"].items()})
             m.selected_sets.append(payload["selected"])
             m.extras[f"{repeat}:{fold}"] = payload["extras"]
 
     n_folds_total = fold_plan.repeats * fold_plan.folds_per_repeat
-    raw_feature_counts = {
-        t.modality_name: t.n_features for t in dataset.modalities
-    }
-    for spec in methods:
-        m = methods_out[spec.label]
-        _finalize_method(m, spec, dataset, raw_feature_counts, n_folds_total)
+    raw_feature_counts = {t.modality_name: t.n_features for t in dataset.modalities}
+    for m in methods_out.values():
+        _finalize_method(m, dataset, raw_feature_counts, n_folds_total)
 
     significance = _pairwise_significance(methods_out, dataset.n_samples, fold_plan)
     return EvaluationReport(
@@ -513,26 +430,23 @@ def run_cv_benchmark(
 
 def _finalize_method(
     m: MethodResult,
-    spec: IntegratorSpec,
     dataset: MultiModalDataset,
     raw_feature_counts: dict,
     n_folds_total: int,
 ) -> None:
+    spec = m.spec
     if m.fold_records:
-        acc = [r.accuracy for r in m.fold_records]
-        unk = [r.unknown_rate for r in m.fold_records]
-        per_class_vals = {
-            name: [getattr(r, name) for r in m.class_records]
-            for name in ("sensitivity", "specificity", "precision", "recall", "f1")
-        }
-        auc_vals = [r.auc for r in m.class_records if r.auc_valid]
+        acc = [r["accuracy"] for r in m.fold_records]
+        unk = [r["unknown_rate"] for r in m.fold_records]
+        auc_vals = [r["auc"] for r in m.class_records if r["auc_valid"]]
         m.aggregates = {
             "accuracy_mean": float(np.mean(acc)),
             "accuracy_sd": float(np.std(acc)),
             "unknown_rate_mean": float(np.mean(unk)),
             "n_folds_scored": len(m.fold_records),
         }
-        for name, vals in per_class_vals.items():
+        for name in ("sensitivity", "specificity", "precision", "recall", "f1"):
+            vals = [r[name] for r in m.class_records]
             m.aggregates[f"macro_{name}_mean"] = float(np.mean(vals))
             m.aggregates[f"macro_{name}_sd"] = float(np.std(vals))
         m.aggregates["macro_auc_mean"] = float(np.mean(auc_vals)) if auc_vals else 0.0
@@ -560,27 +474,17 @@ def _pairwise_significance(
 ) -> list:
     n_test = n_samples / fold_plan.folds_per_repeat
     n_train = n_samples - n_test
-    labels = list(methods_out)
     entries = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            a, b = methods_out[labels[i]], methods_out[labels[j]]
-            if not a.fold_records or not b.fold_records:
-                continue
-            if len(a.fold_records) != len(b.fold_records):
-                continue  # a method failed on some folds; series not comparable
-            for metric in ("macro_f1", "macro_auc"):
-                sa = [getattr(r, metric) for r in a.fold_records]
-                sb = [getattr(r, metric) for r in b.fold_records]
-                res = corrected_ttest(sa, sb, n_train, n_test)
-                entries.append(
-                    SignificanceEntry(
-                        metric=metric,
-                        method_a=labels[i],
-                        method_b=labels[j],
-                        t=res.t,
-                        p_value=res.p_value,
-                        degenerate=res.degenerate,
-                    )
-                )
+    for a, b in combinations(methods_out.values(), 2):
+        if not a.fold_records or not b.fold_records:
+            continue
+        if len(a.fold_records) != len(b.fold_records):
+            continue  # a method failed on some folds; series not comparable
+        for metric in ("macro_f1", "macro_auc"):
+            sa = [r[metric] for r in a.fold_records]
+            sb = [r[metric] for r in b.fold_records]
+            res = corrected_ttest(sa, sb, n_train, n_test)
+            entries.append(
+                SignificanceEntry(metric=metric, method_a=a.label, method_b=b.label, **asdict(res))
+            )
     return entries

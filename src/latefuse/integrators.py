@@ -47,7 +47,7 @@ from .learners import (
     fit_gbm,
     fit_random_forest,
 )
-from .preprocess import PreprocessConfig, fit_preprocessor, smote_balance_tables
+from .preprocess import PreprocessConfig, prepare_fold, smote_balance_tables
 
 INTEGRATOR_KINDS = (
     "CONCAT",
@@ -888,19 +888,10 @@ def score_modality_subset(
     spec = IntegratorSpec(kind="ENS-S", base=base)
     scores = []
     for r, f in plan.cells():
-        test_idx = plan.test_indices(r, f)
-        train_idx = plan.train_indices(r, f, sub.n_samples)
-        train_tables, y_train = sub.take_rows(train_idx)
-        test_tables, y_test = sub.take_rows(test_idx)
-        pres = [fit_preprocessor(t, preprocess_cfg) for t in train_tables]
-        train_p = [p.train_transformed for p in pres]
-        test_p = [p.transform(t) for p, t in zip(pres, test_tables)]
-        if preprocess_cfg.smote_enabled:
-            train_p, y_fit = smote_balance_tables(
-                train_p, y_train, k=preprocess_cfg.smote_k, seed=seed + 13 * f
-            )
-        else:
-            y_fit = y_train
+        train_p, y_fit, test_p, y_test = prepare_fold(
+            sub, plan.train_indices(r, f, sub.n_samples), plan.test_indices(r, f),
+            preprocess_cfg, seed + 13 * f,
+        )
         model = fit_vote(train_p, y_fit, spec, sub.n_classes, seed=seed + 7 * f)
         pred = model.predict(test_p)
         scores.append(macro_f1(pred.labels, y_test, sub.n_classes))

@@ -182,16 +182,6 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "leaf_values": self.leaf_values.tolist(),
-        }
-
 
 class _SplitState:
     """The part of a node's split search that does not depend on its
@@ -520,15 +510,6 @@ class GbmModel:
     def predict_proba(self, X: np.ndarray) -> PredictionSet:
         return PredictionSet.from_probabilities(softmax(self.decision_scores(X)))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "gbm",
-            "params": vars(self.params) | {},
-            "n_classes": self.n_classes,
-            "init_scores": self.init_scores.tolist(),
-            "trees": [[t.to_json_dict() for t in row] for row in self.trees],
-        }
-
 
 def fit_gbm(
     X: np.ndarray,
@@ -682,14 +663,6 @@ class RandomForestModel:
     def _stacked(self) -> tuple[DecisionTree, np.ndarray]:
         """All trees as one flat tree, in fitting order; built on first use."""
         return DecisionTree.stack(self.trees)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "random_forest",
-            "params": vars(self.params) | {},
-            "n_classes": self.n_classes,
-            "trees": [t.to_json_dict() for t in self.trees],
-        }
 
 
 def fit_random_forest(

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ModalityTable
+from .data import ModalityTable, MultiModalDataset
 
 STANDARDIZE = "standardize"
 CPM_LOG = "cpm_log"
@@ -432,3 +432,30 @@ def smote_balance_tables(
         for t in tables
     ]
     return out_tables, np.concatenate([y, labels])
+
+
+# ---------------------------------------------------------------------------
+# one CV fold, prepared for fitting
+# ---------------------------------------------------------------------------
+
+
+def prepare_fold(
+    dataset: MultiModalDataset,
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
+    cfg: PreprocessConfig,
+    smote_seed: int,
+) -> tuple[list[ModalityTable], np.ndarray, list[ModalityTable], np.ndarray]:
+    """Split one CV fold and prepare it for fitting: one preprocessor per
+    modality fit on the training rows and applied to the test rows, then,
+    when enabled, SMOTE on the prepared training tables.
+
+    Returns (fit tables, fit labels, test tables, test labels)."""
+    train_tables, y_train = dataset.take_rows(train_idx)
+    test_tables, y_test = dataset.take_rows(test_idx)
+    pres = [fit_preprocessor(t, cfg) for t in train_tables]
+    train_p = [p.train_transformed for p in pres]
+    test_p = [p.transform(t) for p, t in zip(pres, test_tables)]
+    if cfg.smote_enabled:
+        train_p, y_train = smote_balance_tables(train_p, y_train, k=cfg.smote_k, seed=smote_seed)
+    return train_p, y_train, test_p, y_test

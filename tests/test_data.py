@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,8 @@ class TestLoadDataset:
 
     def test_unparseable_cell_errors(self, tmp_path):
         path = write_csv(tmp_path / "m.csv", ["sample_id", "a"], [["A", "oops"]])
-        with pytest.raises(DataError, match="unparseable"):
+        message = f"{path}:A:a: unparseable cell 'oops'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_modality_table("m", path)
 
     def test_duplicate_sample_id_errors(self, tmp_path):

@@ -1,13 +1,18 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from latefuse.data import make_fold_plan
 from latefuse.evaluation import (
     EvaluationError,
+    MetricSet,
+    PerClassMetrics,
     _average_ranks,
+    auc_per_class,
     compute_metrics,
     confusion_counts,
     corrected_ttest,
@@ -37,7 +42,103 @@ def _preds(labels, n_classes, probabilities=None):
     return PredictionSet(labels=labels, probabilities=np.asarray(probabilities, dtype=float))
 
 
+def _reference_safe_div(num, den):
+    if den == 0:
+        return 0.0, True
+    return num / den, False
+
+
+def reference_compute_metrics(predictions, truth):
+    """compute_metrics as a loop over classes and Python scalars: the oracle
+    the vectorised version must equal bit for bit."""
+    truth = np.asarray(truth, dtype=np.intp)
+    labels = np.asarray(predictions.labels, dtype=np.intp)
+    n_classes = predictions.n_classes
+    n = len(truth)
+    aucs, auc_valid = auc_per_class(predictions.probabilities, truth, n_classes)
+    per_class = []
+    for k in range(n_classes):
+        pred_pos = labels == k
+        true_pos = truth == k
+        tp = int(np.sum(pred_pos & true_pos))
+        fp = int(np.sum(pred_pos & ~true_pos))
+        fn = int(np.sum(~pred_pos & true_pos))
+        tn = n - tp - fp - fn
+        flags = []
+        sens, fl = _reference_safe_div(tp, tp + fn)
+        if fl:
+            flags.append("sensitivity")
+        spec, fl = _reference_safe_div(tn, tn + fp)
+        if fl:
+            flags.append("specificity")
+        prec, fl = _reference_safe_div(tp, tp + fp)
+        if fl:
+            flags.append("precision")
+        f1, fl = _reference_safe_div(2 * prec * sens, prec + sens)
+        if fl:
+            flags.append("f1")
+        per_class.append(
+            PerClassMetrics(
+                class_index=k, tp=tp, fp=fp, tn=tn, fn=fn, accuracy=(tp + tn) / n,
+                sensitivity=sens, specificity=spec, precision=prec, recall=sens, f1=f1,
+                auc=float(aucs[k]), auc_valid=bool(auc_valid[k]), zero_division_flags=flags,
+            )
+        )
+    return MetricSet(
+        accuracy=float(np.sum(predictions.labels == truth) / n),
+        per_class=per_class,
+        macro_sensitivity=float(np.mean([c.sensitivity for c in per_class])),
+        macro_specificity=float(np.mean([c.specificity for c in per_class])),
+        macro_precision=float(np.mean([c.precision for c in per_class])),
+        macro_recall=float(np.mean([c.recall for c in per_class])),
+        macro_f1=float(np.mean([c.f1 for c in per_class])),
+        macro_auc=float(aucs[auc_valid].mean()) if auc_valid.any() else 0.0,
+        unknown_rate=float(np.mean(predictions.labels == -1)),
+    )
+
+
+def _assert_same_fields(got, want):
+    """Every dataclass field equal with ==, and of the same type, so the
+    report writes the same bytes."""
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and a == b, (f.name, a, b)
+
+
+@st.composite
+def _prediction_cases(draw):
+    """Labels over K classes drawn from random subsets of the classes (plus
+    the abstention -1), so some classes are absent from the truth or the
+    predictions and every zero-denominator flag fires."""
+    k = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 60))
+    truth_pool = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    pred_pool = draw(st.lists(st.integers(-1, k - 1), min_size=1, max_size=k + 1, unique=True))
+    truth = draw(st.lists(st.sampled_from(truth_pool), min_size=n, max_size=n))
+    pred = draw(st.lists(st.sampled_from(pred_pool), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, np.array(truth), np.array(pred), seed
+
+
 class TestComputeMetrics:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_prediction_cases())
+    # one class is the whole truth and nothing is predicted: all four flags fire
+    @example(case=(2, np.zeros(5, dtype=int), np.full(5, -1), 0))
+    def test_equals_reference_loop(self, case):
+        k, truth, pred, seed = case
+        # probabilities on a coarse grid, so AUC ranks tie
+        probs = np.random.default_rng(seed).integers(0, 4, size=(len(truth), k)) / 4.0
+        predictions = PredictionSet(labels=pred, probabilities=probs)
+        got = compute_metrics(predictions, truth)
+        want = reference_compute_metrics(predictions, truth)
+        _assert_same_fields(got, want)
+        assert len(got.per_class) == len(want.per_class) == k
+        for c_got, c_want in zip(got.per_class, want.per_class):
+            _assert_same_fields(c_got, c_want)
+        f1 = macro_f1(pred, truth, k)
+        assert type(f1) is float and f1 == want.macro_f1
+
     def test_tabulated_counts(self):
         # one-vs-rest counts tp=3, fp=1, tn=5, fn=1 for class 0 over 10 samples
         truth = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
@@ -254,7 +355,7 @@ class TestBenchmark:
         methods = [IntegratorSpec(kind="CONCAT", base=FAST)]
         report = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=7)
         m = report.methods["CONCAT"]
-        f1s = [r.f1 for r in m.class_records]
+        f1s = [r["f1"] for r in m.class_records]
         assert m.aggregates["macro_f1_mean"] == pytest.approx(np.mean(f1s), abs=1e-9)
 
     def test_byte_identical_reports(self):

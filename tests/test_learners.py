@@ -158,14 +158,6 @@ class TestGbm:
         with pytest.raises(LearnerError):
             fit_gbm(rng.normal(size=(10, 2)), rng.integers(0, 2, 10), np.ones(5))
 
-    def test_json_dump_roundtrips(self, rng):
-        import json
-
-        model = fit_gbm(rng.normal(size=(12, 2)), rng.integers(0, 2, 12),
-                        params=GbmParams(n_rounds=3))
-        blob = json.dumps(model.to_json_dict())
-        assert json.loads(blob)["kind"] == "gbm"
-
 
 class TestRandomForest:
     def test_single_unbootstrapped_tree_equals_cart(self, rng):

@@ -41,6 +41,10 @@ CONFIG = {
 # root state and stopped walking trees during fitting.
 EXPECTED_SHA256 = "43f515a1b011157a043802e070981c094fa00748b69837aa178e199190c1b7ba"
 
+# sha256 of records.csv for CONFIG, recorded while fold records were still
+# dataclasses copied field by field from the per-class metrics.
+RECORDS_SHA256 = "de55e806dcc5233ba80a74181d2f796f5b2b66fcfbc1ef4a8f17e1aa89217713"
+
 # Correlation pruning drops columns in both modalities: DENSE (no missing
 # cell, strongly separated informative columns that correlate above 0.9)
 # takes the dense path, GAPPY (missing cells) the pairwise-complete one.
@@ -65,16 +69,48 @@ PRUNE_CONFIG = {
 PRUNE_SHA256 = "381e75b901ba0b3d4f9bc41e8e4bcc1b098f8cc4e377b6a9b99067760bdeb704"
 
 
-def _run(tmp_path, monkeypatch, config=CONFIG) -> None:
+# `latefuse incremental` on three modalities, one with missing cells: the
+# selector's inner folds impute, balance and score every subset it visits.
+INCREMENTAL_CONFIG = {
+    "seed": 7,
+    "output_dir": "out",
+    "synth": {
+        "n_samples": 45,
+        "n_classes": 3,
+        "modalities": [
+            {"name": "A", "n_features": 8, "n_informative": 3, "separation": 2.0},
+            {"name": "B", "n_features": 6, "n_informative": 2, "separation": 1.0,
+             "missing_fraction": 0.1},
+            {"name": "C", "n_features": 5, "n_informative": 0},
+        ],
+    },
+    "folds": {"repeats": 1, "folds": 2},
+    "incremental": {"inner_folds": 2, "margin": 0.05, "base": {"n_rounds": 5, "max_depth": 2}},
+    "methods": [
+        {"kind": "ENS-S", "base": {"n_rounds": 5, "max_depth": 2}},
+        {"kind": "CONCAT", "base": {"n_rounds": 5, "max_depth": 2}},
+    ],
+}
+
+# sha256 of each INCREMENTAL_CONFIG output, recorded while the selector's
+# inner folds still had their own copy of the fold preparation.
+INCREMENTAL_SHA256 = {
+    "incremental_trace.csv": "e4450851c7399b1f80e2e90d6063d83bbe7499398da00a9b77d0abf3435d6dc0",
+    "best_subset.json": "469f5c91e1bb5b3f08987f150366aa41ee2b96fd809fa30439fb610aa5141c86",
+    "comparison.csv": "cf2d432abd70dbba483b6885779a1471529d5880924c96b11fa3f3a7e2812290",
+}
+
+
+def _run(tmp_path, monkeypatch, config=CONFIG, command="run") -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(config))
-    assert main(["run", "-c", "config.json"]) == 0
+    assert main([command, "-c", "config.json"]) == 0
 
 
-def _assert_digest(tmp_path, expected) -> None:
-    digest = hashlib.sha256((tmp_path / "out" / "report.json").read_bytes()).hexdigest()
+def _assert_digest(tmp_path, expected, name="report.json") -> None:
+    digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
     assert digest == expected, (
-        f"report.json sha256 is {digest}, recorded {expected}. A change that moves "
+        f"{name} sha256 is {digest}, recorded {expected}. A change that moves "
         "the report's numbers on purpose re-records the digest and names the numbers "
         "that moved, and why, in CHANGES.md."
     )
@@ -83,6 +119,18 @@ def _assert_digest(tmp_path, expected) -> None:
 def test_report_bytes_unchanged(tmp_path, monkeypatch):
     _run(tmp_path, monkeypatch)
     _assert_digest(tmp_path, EXPECTED_SHA256)
+
+
+def test_records_csv_bytes_unchanged(tmp_path, monkeypatch):
+    _run(tmp_path, monkeypatch)
+    _assert_digest(tmp_path, RECORDS_SHA256, "records.csv")
+
+
+def test_incremental_output_bytes_unchanged(tmp_path, monkeypatch, capsys):
+    _run(tmp_path, monkeypatch, INCREMENTAL_CONFIG, command="incremental")
+    for name, expected in INCREMENTAL_SHA256.items():
+        _assert_digest(tmp_path, expected, name)
+    assert "best subset: ['A']" in capsys.readouterr().out
 
 
 def test_pruning_report_bytes_unchanged(tmp_path, monkeypatch):
