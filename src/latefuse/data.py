@@ -217,14 +217,23 @@ def load_modality_table(
         sample_ids.append(sid)
         if len(row) != len(header):
             raise DataError(f"{path}: row {sid!r} has {len(row)} cells, expected {len(header)}")
-        for j, token in enumerate(row[1:]):
-            token = token.strip()
-            try:
-                values[i, j] = np.nan if token in tokens else float(token)
-            except ValueError:
-                where = f"{path}:{sid}:{feature_names[j]}"
-                raise DataError(f"{where}: unparseable cell {token!r}") from None
+        cells = [token.strip() for token in row[1:]]
+        try:
+            values[i] = [np.nan if token in tokens else float(token) for token in cells]
+        except ValueError:
+            j, token = next((j, t) for j, t in enumerate(cells) if not _parses(t, tokens))
+            where = f"{path}:{sid}:{feature_names[j]}"
+            raise DataError(f"{where}: unparseable cell {token!r}") from None
     return ModalityTable(name, sample_ids, feature_names, values)
+
+
+def _parses(token: str, tokens: frozenset) -> bool:
+    """Whether a stripped cell is a number or a missing token."""
+    try:
+        float(token)
+    except ValueError:
+        return token in tokens
+    return True
 
 
 def load_dataset(

@@ -12,10 +12,16 @@ All learners share the same conventions:
 * fits are deterministic functions of (data, params, seed).
 
 Split search is exact and has one implementation, `_TreeBuilder`, shared by
-`fit_tree`, the forest and the GBM. The GBM does each piece of tree work
-once: the class trees of a round share their root's `_SplitState` (the
-stable column sort and what split search derives from it and the weights),
-and the builder returns every training row's leaf, routed by the same
+`fit_tree`, the forest and the GBM. Its `_SplitState` is feature-major: one
+C-contiguous row per candidate column holds the node's rows in that
+column's stable sort order, their weight cumsum and where a threshold may
+fall, and a search gathers each weighted target once per cumsum. The GBM
+does each piece of tree work once: the class trees of a round share their
+root's state; a child's state, which depends only on the root and the
+node's path of (feature, n_left, side) steps, is kept by that path and
+reused by the trees of the same round and the next one (older states are
+dropped, and a subsampled fit drops them with each new root); and the
+builder returns every training row's leaf, routed by the same
 x <= threshold rule as `DecisionTree.apply`, so fitting walks no tree.
 `DecisionTree.apply` is the only tree walker and takes several roots:
 a model stacks its trees into one flat tree once, on its first prediction,
@@ -25,6 +31,8 @@ values in fitting order.
 
 from __future__ import annotations
 
+from collections import ChainMap
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -185,28 +193,43 @@ class DecisionTree:
 
 class _SplitState:
     """The part of a node's split search that does not depend on its
-    targets: its rows in each candidate column's sorted order (`S`), the
-    sorted values and weights, the weight cumsum, and where a threshold may
-    fall (between distinct neighbours, `min_leaf` rows and positive weight on
-    each side). Trees fitted on the same rows and weights share their root's.
+    targets, feature-major: row j of `S` holds the node's rows in the sorted
+    order of candidate column `cols[j]`, `cw` their weight cumsum, and
+    `invalid` marks the positions after which a threshold may not fall
+    (between equal neighbours, with fewer than `min_leaf` rows or no
+    positive weight on a side; the last position always). Each array is
+    (len(cols), rows) and C-contiguous, so each column's scan runs along one
+    contiguous row and whole-array arithmetic runs as one flat loop.
     """
 
     def __init__(self, X, w, sorted_idx, cols, min_leaf):
-        """X is C-contiguous; cols are ascending column indices."""
+        """X is C-contiguous; `sorted_idx` holds the node's rows in the
+        sorted order of every column of X; cols are ascending."""
         self.cols = cols
         all_cols = len(cols) == X.shape[1]
-        self.S = S = sorted_idx if all_cols else sorted_idx[:, cols]
-        self.Xs = Xs = X.take(S * X.shape[1] + cols)  # X[S, cols], flat gather
-        self.Ws = w[S]
-        self.cw = cw = self.Ws.cumsum(axis=0)
-        self.WL = WL = cw[:-1]
-        self.WR = WR = cw[-1] - WL
-        valid = Xs[:-1] < Xs[1:]
-        valid &= WL > 0
-        valid &= WR > 0
-        valid[: max(min_leaf - 1, 0)] = False  # fewer than min_leaf rows on the left
-        valid[max(len(S) - min_leaf, 0) :] = False  # ... or on the right
-        self.valid = valid
+        self.S = S = sorted_idx if all_cols else sorted_idx[cols]
+        flat = S * X.shape[1]
+        flat += cols[:, None]
+        Xs = X.take(flat)  # X[S, cols]
+        self.cw = cw = w.take(S)
+        cw.cumsum(axis=1, out=cw)
+        valid = np.zeros(S.shape, dtype=bool)
+        np.less(Xs[:, :-1], Xs[:, 1:], out=valid[:, :-1])
+        valid &= cw > 0
+        valid &= cw[:, -1:] - cw > 0
+        valid[:, : max(min_leaf - 1, 0)] = False  # fewer than min_leaf rows on the left
+        valid[:, max(S.shape[1] - min_leaf, 0) :] = False  # ... or on the right
+        self.invalid = np.logical_not(valid, out=valid)
+
+    @classmethod
+    def of_rows(cls, X, w, rows, min_leaf) -> "_SplitState":
+        """The state of a node holding `rows` of X (all of them when None),
+        over every column, each sorted stably."""
+        if rows is None:
+            S = np.argsort(X.T, axis=1, kind="stable")
+        else:
+            S = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
+        return cls(X, w, S, np.arange(X.shape[1], dtype=np.intp), min_leaf)
 
 
 class _TreeBuilder:
@@ -220,7 +243,11 @@ class _TreeBuilder:
     `build()` gives a tree with node values (fit_tree, forests).
     `build_leaves()` is fit_gbm's: it takes the root's `_SplitState` from the
     caller, computes no node values, and instead routes every row of X to its
-    leaf by the rule of `DecisionTree.apply`, x <= threshold.
+    leaf by the rule of `DecisionTree.apply`, x <= threshold. It may also
+    take `states`, a mapping from a node's path, its (feature, n_left, side)
+    steps from that root, to the node's `_SplitState` over every column.
+    Given the root, the path fixes the node's rows, so a state found there is
+    used without partitioning, and each state built is stored there.
     """
 
     def __init__(
@@ -231,6 +258,7 @@ class _TreeBuilder:
         params: TreeParams,
         rng: Optional[np.random.Generator] = None,
         root: Optional[_SplitState] = None,
+        states: Optional[MutableMapping] = None,
     ):
         self.X = X
         self.y = y
@@ -238,12 +266,18 @@ class _TreeBuilder:
         self.params = params
         self.rng = rng
         self.root = root
+        self.states = states
         self.leaf_of: Optional[np.ndarray] = None
         self.n_classes = params.n_classes
         if params.task == "classification":
             if self.n_classes is None:
                 self.n_classes = int(np.max(y)) + 1
             self.y_onehot = one_hot(y.astype(np.intp), self.n_classes)
+            # row k: w * onehot[:, k], gathered once per split search
+            self.w_onehot = np.ascontiguousarray((w[:, None] * self.y_onehot).T)
+        else:
+            self.wy = w * y
+            self.wyy = self.wy * y
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -253,9 +287,9 @@ class _TreeBuilder:
         self.all_cols = np.arange(X.shape[1], dtype=np.intp)
 
     def build(self) -> DecisionTree:
-        sorted_root = np.argsort(self.X, axis=0, kind="stable")
+        sorted_root = np.argsort(self.X.T, axis=1, kind="stable")
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._grow(sorted_root, None, len(sorted_root), 0, None)
+            self._grow(sorted_root, None, sorted_root.shape[1], 0, None, ())
         if self.params.task == "regression":
             leaf_values = np.array(self.values, dtype=np.float64)
         else:
@@ -267,7 +301,7 @@ class _TreeBuilder:
         self.leaf_of = np.empty(len(self.X), dtype=np.intp)
         S = self.root.S
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._grow(S, None, len(S), 0, np.arange(len(self.X)))
+            self._grow(S, None, S.shape[1], 0, np.arange(len(self.X)), ())
         return self._tree(np.zeros(0)), self.leaf_of
 
     def _tree(self, leaf_values) -> DecisionTree:
@@ -326,25 +360,36 @@ class _TreeBuilder:
             self.leaf_of[route] = node_id
         return node_id
 
-    def _grow(self, sorted_idx, member, size: int, depth: int, route) -> int:
-        """Grow the node whose `size` rows are those of `sorted_idx` (rows
-        in every column's sorted order) that `member` marks, or all of them
+    def _grow(self, sorted_idx, member, size: int, depth: int, route, path: tuple) -> int:
+        """Grow the node whose `size` rows are those of `sorted_idx` (row j:
+        rows in column j's sorted order) that `member` marks, or all of them
         when `member` is None. `route` holds the rows of X that reach the
-        node by the x <= threshold rule (build_leaves only)."""
+        node by the x <= threshold rule (build_leaves only), and `path` is
+        the node's (feature, n_left, side) steps from the root."""
         params = self.params
         can_split = depth < params.max_depth and size >= 2 * params.min_leaf
         idx = None
         if can_split or self.leaf_of is None:
-            idx = sorted_idx[:, 0]
+            idx = sorted_idx[0]
             if member is not None:
                 idx = idx[member[idx]]
         if not can_split or self._impurity(idx) <= _GAIN_TOL:
             return self._add_leaf(idx, route)
 
-        if member is not None:
-            mask = member[sorted_idx]
-            sorted_idx = sorted_idx.T[mask.T].reshape(sorted_idx.shape[1], size).T
-        split = self._best_split(sorted_idx, self.root if depth == 0 else None)
+        if depth == 0 and self.root is not None:
+            state = self.root
+        else:
+            state = self.states.get(path) if self.states is not None else None
+            if state is None:
+                if member is not None:
+                    sorted_idx = sorted_idx[member[sorted_idx]].reshape(-1, size)
+                state = _SplitState(
+                    self.X, self.w, sorted_idx, self._candidate_features(), params.min_leaf
+                )
+            if self.states is not None:
+                sorted_idx = state.S  # every column: the node's full sorted order
+                self.states[path] = state
+        split = self._best_split(state)
         if split is None:
             return self._add_leaf(idx, route)
         feat, thr, gain, n_left, in_left = split
@@ -355,9 +400,12 @@ class _TreeBuilder:
         if route is not None:
             go_left = self.X[route, feat] <= thr
             route_left, route_right = route[go_left], route[~go_left]
-        self.left[node_id] = self._grow(sorted_idx, in_left, n_left, depth + 1, route_left)
+        self.left[node_id] = self._grow(
+            sorted_idx, in_left, n_left, depth + 1, route_left, path + ((feat, n_left, 0),)
+        )
         self.right[node_id] = self._grow(
-            sorted_idx, ~in_left, size - n_left, depth + 1, route_right
+            sorted_idx, ~in_left, size - n_left, depth + 1, route_right,
+            path + ((feat, n_left, 1),),
         )
         return node_id
 
@@ -369,50 +417,60 @@ class _TreeBuilder:
         chosen = self.rng.choice(n_feat, size=k, replace=False)
         return np.sort(chosen)  # ascending keeps the lowest-index tie-break
 
-    def _best_split(self, sorted_idx: np.ndarray, state: Optional[_SplitState]):
-        if state is None:
-            state = _SplitState(
-                self.X, self.w, sorted_idx, self._candidate_features(), self.params.min_leaf
-            )
-        S, Xs, Ws, cw, WL, WR = state.S, state.Xs, state.Ws, state.cw, state.WL, state.WR
+    def _best_split(self, state: _SplitState):
+        # every position's gain, in whole rows; the last position is invalid
+        S, cw = state.S, state.cw
+        total_w = cw[:, -1:]
 
         if self.params.task == "regression":
-            ys = self.y[S]
-            wy = Ws * ys
-            cwy = wy.cumsum(axis=0)
-            cwyy = (wy * ys).cumsum(axis=0)
-            SL, QL = cwy[:-1], cwyy[:-1]
-            SR, QR = cwy[-1] - SL, cwyy[-1] - QL
-            child = (QL - SL * SL / WL) + (QR - SR * SR / WR)
-            parent = cwyy[-1] - cwy[-1] ** 2 / cw[-1]
+            cwy = self.wy.take(S)
+            cwy.cumsum(axis=1, out=cwy)
+            cwyy = self.wyy.take(S)
+            cwyy.cumsum(axis=1, out=cwyy)
+            total_y, total_yy = cwy[:, -1:], cwyy[:, -1:]
+            parent = total_yy[:, 0] - total_y[:, 0] ** 2 / total_w[:, 0]
+            # child = (QL - SL * SL / WL) + (QR - SR * SR / WR), in place,
+            # where SL, QL and WL are cwy, cwyy and cw
+            child = total_w - cw  # WR
+            SR = total_y - cwy
+            SR *= SR
+            SR /= child
+            np.subtract(total_yy, cwyy, out=child)  # QR
+            child -= SR
+            cwy *= cwy
+            cwy /= cw
+            cwyy -= cwy
+            child += cwyy
         else:
             # per-class cumulative weighted counts; K is small so loop classes
-            sum_sq_l = np.zeros_like(WL)
-            sum_sq_r = np.zeros_like(WL)
-            parent_sq = np.zeros(S.shape[1], dtype=np.float64)
-            for k in range(self.n_classes):
-                ck = (Ws * self.y_onehot[S, k]).cumsum(axis=0)
-                skl = ck[:-1]
-                skr = ck[-1] - skl
+            sum_sq_l = np.zeros_like(cw)
+            sum_sq_r = np.zeros_like(cw)
+            parent_sq = np.zeros(len(S), dtype=np.float64)
+            for w_k in self.w_onehot:
+                skl = w_k.take(S)
+                skl.cumsum(axis=1, out=skl)
+                skr = skl[:, -1:] - skl
+                parent_sq += skl[:, -1] ** 2
                 sum_sq_l += skl * skl
                 sum_sq_r += skr * skr
-                parent_sq += ck[-1] ** 2
-            child = (WL - sum_sq_l / WL) + (WR - sum_sq_r / WR)
-            parent = cw[-1] - parent_sq / cw[-1]
+            WR = total_w - cw
+            child = (cw - sum_sq_l / cw) + (WR - sum_sq_r / WR)
+            parent = total_w[:, 0] - parent_sq / total_w[:, 0]
 
-        gain = parent[None, :] - child
-        gain[~state.valid] = -np.inf
-        best_pos = gain.argmax(axis=0)  # first max -> lowest threshold
-        best_gain = gain[best_pos, self.all_cols[: len(state.cols)]]
+        gain = np.subtract(parent[:, None], child, out=child)
+        gain[state.invalid] = -np.inf
+        best_pos = gain.argmax(axis=1)  # first max -> lowest threshold
+        best_gain = gain[self.all_cols[: len(S)], best_pos]
         if not np.isfinite(best_gain).any():
             return None
         j = int(best_gain.argmax())  # first max -> lowest feature index
         i = int(best_pos[j])
         feat = int(state.cols[j])
-        thr = float((Xs[i, j] + Xs[i + 1, j]) / 2.0)
+        lo, hi = self.X[S[j, i : i + 2], feat]
+        thr = float((lo + hi) / 2.0)
         # left membership; children partition every column's order by it (stable)
         in_left = np.zeros(self.X.shape[0], dtype=bool)
-        in_left[S[: i + 1, j]] = True
+        in_left[S[j, : i + 1]] = True
         return feat, thr, float(max(best_gain[j], 0.0)), i + 1, in_left
 
 
@@ -528,8 +586,10 @@ def fit_gbm(
 
     The class trees of a round are fit on the same rows and weights, so they
     share one root `_SplitState` (computed once per fit, or once per round
-    when rows are subsampled). Each builder returns every row's leaf, which
-    gives the leaf sums and the score update without walking the tree.
+    when rows are subsampled), and the child states built by this round's
+    and the previous round's trees, by path. Each builder returns every
+    row's leaf, which gives the leaf sums and the score update without
+    walking the tree.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
@@ -566,23 +626,24 @@ def fit_gbm(
     importance = np.zeros(X.shape[1], dtype=np.float64)
     losses = [log_loss(scores, y, w) / w.sum()]
 
-    cols = np.arange(X.shape[1], dtype=np.intp)
     rows, root = slice(None), None  # the trees' rows: all, or each round's subsample
+    states = ChainMap()  # child states by path: this round's map, then the last round's
     for _ in range(params.n_rounds):
         p = softmax(scores)
         residual = y_oh - p
         if params.subsample < 1.0:
             m = max(1, int(round(params.subsample * n)))
             rows = rng.choice(n, size=m, replace=False)
-            sorted_rows = rows[np.argsort(X[rows], axis=0, kind="stable")]
-            root = _SplitState(X, w, sorted_rows, cols, params.min_leaf)
-        elif root is None:
-            sorted_all = np.argsort(X, axis=0, kind="stable")
-            root = _SplitState(X, w, sorted_all, cols, params.min_leaf)
+            root = _SplitState.of_rows(X, w, rows, params.min_leaf)
+            states = ChainMap()  # a new root: no earlier path holds the same rows
+        else:
+            if root is None:
+                root = _SplitState.of_rows(X, w, None, params.min_leaf)
+            states = ChainMap({}, states.maps[0])
         round_trees = []
         for k in range(K):
             r = residual[:, k]
-            tree, leaf = _TreeBuilder(X, r, w, tree_params, root=root).build_leaves()
+            tree, leaf = _TreeBuilder(X, r, w, tree_params, root=root, states=states).build_leaves()
             # leaf sums over the fitted rows, added in their order
             leaf_fit, r_fit, w_fit = leaf[rows], r[rows], w[rows]
             num = np.bincount(leaf_fit, w_fit * r_fit, minlength=tree.n_nodes)

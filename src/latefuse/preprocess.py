@@ -9,6 +9,7 @@ statistics. Operations are pure functions of (inputs, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -185,28 +186,53 @@ def _train_scale(train_values: np.ndarray) -> np.ndarray:
     return np.where(sd > 0, sd, 1.0)
 
 
+class KnnDonors:
+    """The training side of `impute_knn`: the training values and their
+    observed mask, checked once, plus each feature's training standard
+    deviation (`scale`), the scaled values (0 where missing) and the feature
+    means, computed on first use because a table with no missing cell needs
+    none of them."""
+
+    def __init__(self, train: ModalityTable, cfg: PreprocessConfig):
+        if train.n_samples < cfg.knn_k + 1:
+            raise PreprocessError(f"kNN imputation needs >= {cfg.knn_k + 1} training samples")
+        self.values = train.values
+        self.observed = ~np.isnan(self.values)
+        if not self.observed.any(axis=0).all():
+            bad = [train.feature_names[j] for j in np.flatnonzero(~self.observed.any(axis=0))]
+            raise PreprocessError(f"feature(s) missing in every training row: {bad}")
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return _train_scale(self.values)
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        return np.where(self.observed, self.values / self.scale, 0.0)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return np.nanmean(self.values, axis=0)
+
+
 def impute_knn(
     train: ModalityTable,
     apply_to: ModalityTable,
     cfg: PreprocessConfig,
+    donors: KnnDonors | None = None,
 ) -> ModalityTable:
     """Fill missing cells from the k nearest training rows.
 
     Distance is Euclidean over mutually observed features, each feature
     scaled by its training standard deviation. A cell's donors are the nearest
     training rows where that feature is observed; with no usable donor the
-    training feature mean is used.
+    training feature mean is used. `donors` is `KnnDonors(train, cfg)`,
+    passed by a caller that imputes several tables from one training split.
     """
     if train.feature_names != apply_to.feature_names:
         raise PreprocessError("train/apply feature mismatch")
-    if train.n_samples < cfg.knn_k + 1:
-        raise PreprocessError(f"kNN imputation needs >= {cfg.knn_k + 1} training samples")
-    tv = train.values
-    train_observed = ~np.isnan(tv)
-    if not train_observed.any(axis=0).all():
-        bad = [train.feature_names[j] for j in np.flatnonzero(~train_observed.any(axis=0))]
-        raise PreprocessError(f"feature(s) missing in every training row: {bad}")
-
+    if donors is None:
+        donors = KnnDonors(train, cfg)
     out = apply_to.values.copy()
     rows_with_missing = np.flatnonzero(np.isnan(out).any(axis=1))
     if len(rows_with_missing) == 0:
@@ -214,9 +240,8 @@ def impute_knn(
             apply_to.modality_name, list(apply_to.sample_ids), list(apply_to.feature_names), out
         )
 
-    scale = _train_scale(tv)
-    t_scaled = np.where(train_observed, tv / scale, 0.0)
-    train_mean = np.nanmean(tv, axis=0)
+    tv, train_observed, scale = donors.values, donors.observed, donors.scale
+    t_scaled, train_mean = donors.scaled, donors.mean
 
     for i in rows_with_missing:
         row = out[i]
@@ -290,6 +315,8 @@ class FittedPreprocessor:
     """Column choice + imputation donors + normalization statistics for one
     modality, all fit on a training split.
 
+    ``knn_donors`` is the imputation's training side, computed once for the
+    training rows and every table transformed later.
     ``train_transformed`` is what ``transform`` returns for the training rows,
     computed once at fit time so callers need not impute those rows again.
     """
@@ -299,11 +326,15 @@ class FittedPreprocessor:
     normalization_kind: str
     train_filtered: ModalityTable  # training rows restricted to kept columns
     cfg: PreprocessConfig
+    knn_donors: KnnDonors = field(init=False)
     train_imputed: ModalityTable = field(init=False)
     train_transformed: ModalityTable = field(init=False)
 
     def __post_init__(self) -> None:
-        self.train_imputed = impute_knn(self.train_filtered, self.train_filtered, self.cfg)
+        self.knn_donors = KnnDonors(self.train_filtered, self.cfg)
+        self.train_imputed = impute_knn(
+            self.train_filtered, self.train_filtered, self.cfg, self.knn_donors
+        )
         self.train_transformed = normalize(
             self.train_imputed, self.train_imputed, self.normalization_kind
         )
@@ -318,7 +349,7 @@ class FittedPreprocessor:
             except KeyError as e:
                 raise PreprocessError(f"table lacks fitted feature {e.args[0]!r}") from None
             selected = table.take_columns(idx)
-        imputed = impute_knn(self.train_filtered, selected, self.cfg)
+        imputed = impute_knn(self.train_filtered, selected, self.cfg, self.knn_donors)
         return normalize(self.train_imputed, imputed, self.normalization_kind)
 
 

@@ -71,6 +71,17 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             load_modality_table("m", path)
 
+    def test_unparseable_cell_is_the_first_bad_one(self, tmp_path):
+        # a row is parsed at once; the error still names its first bad cell,
+        # not a missing token or a number before it
+        path = write_csv(
+            tmp_path / "m.csv", ["sample_id", "a", "b", "c", "d"],
+            [["A", "1", "2", "3", "4"], ["B", " NA ", "1.5", " oops ", "bad"]],
+        )
+        message = f"{path}:B:c: unparseable cell 'oops'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_modality_table("m", path)
+
     def test_duplicate_sample_id_errors(self, tmp_path):
         path = write_csv(tmp_path / "m.csv", ["sample_id", "a"], [["A", "1"], ["A", "2"]])
         with pytest.raises(DataError, match="duplicate sample id"):

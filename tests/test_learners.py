@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -365,7 +366,7 @@ class TestGbmExactness:
         x = np.array([1 - 2**-53, 1.0])
         X = np.column_stack([x, [0.0, 1.0]])
         w = np.ones(2)
-        root = _SplitState(X, w, np.argsort(X, axis=0, kind="stable"), np.arange(2), 1)
+        root = _SplitState.of_rows(X, w, None, 1)
         params = TreeParams(max_depth=1, min_leaf=1)
         tree, leaves = _TreeBuilder(X, np.array([0.0, 1.0]), w, params, root=root).build_leaves()
         assert tree.feature[0] == 0 and tree.threshold[0] == 1.0
@@ -426,3 +427,260 @@ class TestGbmExactness:
         assert stacks == []
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# an independent split search: every node sorted again from scratch
+# ---------------------------------------------------------------------------
+
+
+def oracle_tree(X, y, w, params, rng=None):
+    """Greedy CART that shares no code with `_TreeBuilder` or `_SplitState`.
+
+    Each node sorts its rows again, column by column (stably, rows in index
+    order, as a stable partition of the stably sorted root keeps them), and
+    scans 1-D cumsums of the sorted weights and weighted targets with the
+    same gain formula. The left child takes the rows sorted at or below the
+    chosen position; nodes are numbered in pre-order."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.ones(len(y)) if w is None else np.asarray(w, dtype=np.float64)
+    n, F = X.shape
+    classification = params.task == "classification"
+    if classification:
+        K = params.n_classes if params.n_classes is not None else int(np.max(y)) + 1
+        onehot = np.zeros((n, K))
+        onehot[np.arange(n), y.astype(np.intp)] = 1.0
+    if params.max_features is not None and rng is None:
+        rng = np.random.default_rng(0)
+    nodes, importance = [], np.zeros(F)
+
+    def node_stats(idx):
+        """(impurity, value) of the rows idx, taken in column 0's order."""
+        wi = w[idx]
+        total = wi.sum()
+        if classification:
+            counts = onehot[idx]
+            s = (wi[:, None] * counts).sum(axis=0)
+            impurity = float(total - np.dot(s, s) / total) if total > 0 else 0.0
+            return impurity, s / total if total > 0 else counts.mean(axis=0)
+        yi = y[idx]
+        if total <= 0:
+            return 0.0, float(np.mean(yi))
+        s, q = np.dot(wi, yi), np.dot(wi, yi**2)
+        return float(q - s * s / total), float(s / total)
+
+    def column_gain(order, j):
+        xs, ws = X[order, j], w[order]
+        cw = np.cumsum(ws)
+        WL = cw[:-1]
+        WR = cw[-1] - WL
+        if classification:
+            sum_sq_l, sum_sq_r, parent_sq = 0.0, 0.0, 0.0
+            for k in range(K):
+                ck = np.cumsum(ws * onehot[order, k])
+                skl, skr = ck[:-1], ck[-1] - ck[:-1]
+                sum_sq_l = sum_sq_l + skl * skl
+                sum_sq_r = sum_sq_r + skr * skr
+                parent_sq += ck[-1] * ck[-1]
+            child = (WL - sum_sq_l / WL) + (WR - sum_sq_r / WR)
+            parent = cw[-1] - parent_sq / cw[-1]
+        else:
+            wy = ws * y[order]
+            cwy, cwyy = np.cumsum(wy), np.cumsum(wy * y[order])
+            SL, QL = cwy[:-1], cwyy[:-1]
+            SR, QR = cwy[-1] - SL, cwyy[-1] - QL
+            child = (QL - SL * SL / WL) + (QR - SR * SR / WR)
+            parent = cwyy[-1] - cwy[-1] * cwy[-1] / cw[-1]
+        pos = np.arange(len(order) - 1)
+        valid = (xs[:-1] < xs[1:]) & (WL > 0) & (WR > 0)
+        valid &= (pos >= params.min_leaf - 1) & (pos < len(order) - params.min_leaf)
+        return np.where(valid, parent - child, -np.inf), xs
+
+    def grow(rows, depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, None])
+        idx = rows[np.argsort(X[rows, 0], kind="stable")]
+        impurity, nodes[node][4] = node_stats(idx)
+        if depth >= params.max_depth or len(rows) < 2 * params.min_leaf or impurity <= 1e-12:
+            return node
+        k = params.max_features
+        cands = range(F) if k is None or k >= F else np.sort(rng.choice(F, size=k, replace=False))
+        best = None
+        for j in cands:
+            order = rows[np.argsort(X[rows, j], kind="stable")]
+            gain, xs = column_gain(order, j)
+            i = int(np.argmax(gain))
+            if np.isfinite(gain[i]) and (best is None or gain[i] > best[0]):
+                best = (gain[i], int(j), i, order, xs)
+        if best is None:
+            return node
+        gain, j, i, order, xs = best
+        nodes[node][:2] = j, float((xs[i] + xs[i + 1]) / 2.0)
+        importance[j] += float(max(gain, 0.0))
+        in_left = np.isin(rows, order[: i + 1])
+        nodes[node][2] = grow(rows[in_left], depth + 1)
+        nodes[node][3] = grow(rows[~in_left], depth + 1)
+        return node
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grow(np.arange(n), 0)
+    feature, threshold, left, right, values = zip(*nodes)
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        leaf_values=np.array(values, dtype=np.float64),
+        raw_importance=importance,
+        n_features=F,
+        task=params.task,
+    )
+
+
+class _OracleBuilder:
+    """`_TreeBuilder(X, y, w, params).build()`, grown by `oracle_tree`."""
+
+    def __init__(self, X, y, w, params):
+        self.args = X, y, w, params
+
+    def build(self):
+        return oracle_tree(*self.args)
+
+
+def oracle_fit_gbm(*args, **kwargs):
+    """`reference_fit_gbm` with every tree grown by `oracle_tree`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules[__name__], "_TreeBuilder", _OracleBuilder)
+        return reference_fit_gbm(*args, **kwargs)
+
+
+@st.composite
+def _tree_case(draw):
+    n, F, K = draw(st.integers(2, 60)), draw(st.integers(1, 12)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, F))
+    columns = draw(st.sampled_from(["real", "rounded", "integer"]))
+    if columns == "rounded":
+        X = np.round(X, 1)  # many ties
+    elif columns == "integer":
+        X = rng.integers(0, 4, size=(n, F)).astype(float)
+    task = draw(st.sampled_from(["regression", "classification"]))
+    if task == "regression":
+        y = np.round(rng.normal(size=n), draw(st.sampled_from([1, 8])))
+    else:
+        y = rng.integers(0, K, n).astype(float)
+    weights = draw(st.sampled_from(["none", "exponential", "with_zeros"]))
+    w = None if weights == "none" else rng.exponential(size=n)
+    if weights == "with_zeros":
+        w[rng.random(n) < 0.5] = 0.0
+        w[rng.integers(n)] = 1.0  # not all zero
+    params = TreeParams(
+        max_depth=draw(st.integers(1, 5)),
+        min_leaf=draw(st.integers(1, 3)),
+        task=task,
+        n_classes=K if task == "classification" else None,
+        max_features=draw(st.sampled_from([None, 1, max(1, F // 2)])),
+    )
+    return X, y, w, params, draw(st.integers(0, 1000))
+
+
+class TestIndependentSplitSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(_tree_case())
+    def test_fit_tree_matches_oracle(self, case):
+        X, y, w, params, seed = case
+        tree = fit_tree(X, y, w, params, rng=np.random.default_rng(seed))
+        ref = oracle_tree(X, y, w, params, rng=np.random.default_rng(seed))
+        for name in _TREE_ARRAYS:
+            np.testing.assert_array_equal(getattr(tree, name), getattr(ref, name), err_msg=name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_gbm_case().filter(lambda case: case[3].max_depth >= 2 and case[3].n_rounds >= 3))
+    def test_fit_gbm_matches_oracle(self, case):
+        X, y, w, params, K, seed = case
+        new = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+        ref = oracle_fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+        assert_same_gbm(new, ref, np.vstack([X, X[::-1] + 0.25]))
+
+
+# ---------------------------------------------------------------------------
+# child split states kept across GBM rounds
+# ---------------------------------------------------------------------------
+
+
+class _StateLog:
+    """Tags each `_SplitState` with the round it was built in and the last
+    round a split search used it; records, for each tree, the rounds in
+    which the states its builder could reuse were last used, and for each
+    search on a child state, (round, round the state was built)."""
+
+    def __init__(self, monkeypatch, K):
+        self.builds, self.built, self.held, self.searched = 0, [], [], []
+        init, build_leaves = _SplitState.__init__, _TreeBuilder.build_leaves
+        best_split = _TreeBuilder._best_split
+        log = self
+
+        def tagged_init(state, *args):
+            init(state, *args)
+            state.round = log.builds // K
+            log.built.append(state)
+
+        def logged_build(builder):
+            log.held.append((log.builds // K, [s.used for s in builder.states.values()]))
+            tree_and_leaves = build_leaves(builder)
+            log.builds += 1
+            return tree_and_leaves
+
+        def logged_search(builder, state):
+            state.used = log.builds // K
+            if state is not builder.root:
+                log.searched.append((state.used, state.round))
+            return best_split(builder, state)
+
+        monkeypatch.setattr(_SplitState, "__init__", tagged_init)
+        monkeypatch.setattr(_TreeBuilder, "build_leaves", logged_build)
+        monkeypatch.setattr(_TreeBuilder, "_best_split", logged_search)
+
+
+class TestChildStateReuse:
+    def test_repeated_root_split_builds_fewer_states_than_nodes(self, monkeypatch):
+        # one strong column: every round's class trees split the root on it
+        # at the same place, so their children's rows repeat
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(60, 6))
+        y = (X[:, 2] + 0.5 * rng.normal(size=60) > 0).astype(int)
+        params = GbmParams(n_rounds=8, max_depth=3)
+        log = _StateLog(monkeypatch, K=2)
+        model = fit_gbm(X, y, params=params)
+        grown = sum(int((t.feature[1:] >= 0).sum()) for r in model.trees for t in r)
+        child_states = len(log.built) - 1  # one root state for the fit
+        assert {t.feature[0] for r in model.trees for t in r} == {2}
+        assert 0 < child_states < grown
+        monkeypatch.undo()
+        assert_same_gbm(model, reference_fit_gbm(X, y, params=params), X)
+
+    @pytest.mark.parametrize("subsample", [1.0, 0.5])
+    def test_states_held_were_used_this_round_or_the_last(self, rng, monkeypatch, subsample):
+        X = np.round(rng.normal(size=(50, 5)), 1)
+        y = rng.integers(0, 3, 50)
+        params = GbmParams(n_rounds=10, max_depth=3, min_leaf=1, subsample=subsample)
+        log = _StateLog(monkeypatch, K=3)
+        fit_gbm(X, y, params=params, seed=3)
+        assert len(log.held) == 30
+        for r, used in log.held:
+            assert len(used) <= 2 * 3 * (2**3 - 2)
+            assert set(used) <= {r - 1, r}
+        reused = any(built < r for r, built in log.searched)
+        assert reused == (subsample == 1.0)
+
+    def test_subsampled_fit_never_reuses_a_state_across_rounds(self, rng, monkeypatch):
+        X = rng.integers(0, 3, size=(40, 4)).astype(float)
+        y = rng.integers(0, 2, 40)
+        params = GbmParams(n_rounds=12, max_depth=3, min_leaf=1, subsample=0.5)
+        log = _StateLog(monkeypatch, K=2)
+        fit_gbm(X, y, params=params, seed=1)
+        assert log.searched
+        assert all(built == r for r, built in log.searched)
+        # the class trees of one round still share their states
+        assert len(log.searched) > len(log.built) - 12

@@ -535,6 +535,26 @@ class TestFittedPreprocessor:
         assert out.feature_names == expected.feature_names
         assert out.values.tobytes() == expected.values.tobytes()
 
+    def test_imputation_training_state_is_computed_once(self, rng, monkeypatch):
+        scales = []
+        scale = preprocess._train_scale
+        monkeypatch.setattr(preprocess, "_train_scale", lambda v: scales.append(1) or scale(v))
+        table = make_table(values=with_missing(rng.normal(size=(30, 6)), 0.15, rng))
+        fitted = fit_preprocessor(table, CFG)
+        assert fitted.kept_feature_names == table.feature_names
+        tests = [make_table(values=with_missing(rng.normal(size=(8, 6)), 0.3, rng))
+                 for _ in range(2)]
+        for test in tests:
+            fitted.transform(test)
+        assert scales == [1]  # at fit, for the training rows; reused for both tables
+        train = fitted.train_filtered
+        np.testing.assert_array_equal(
+            fitted.train_imputed.values, reference_impute_knn(train, train, CFG)
+        )
+        for test in tests:
+            out = impute_knn(train, test, CFG, fitted.knn_donors)
+            np.testing.assert_array_equal(out.values, reference_impute_knn(train, test, CFG))
+
     def test_pipeline_deterministic(self, rng):
         values = rng.normal(size=(18, 5))
         values[rng.uniform(size=values.shape) < 0.15] = np.nan
