@@ -294,8 +294,8 @@ class EvaluationReport:
                 "aggregates": method.aggregates,
                 "fold_records": method.fold_records,
                 "class_records": method.class_records,
-                "signature": method.signature.to_rows() if method.signature else [],
-                "stability": method.stability.to_json_dict() if method.stability else None,
+                "signature": [asdict(e) for e in method.signature or []],
+                "stability": asdict(method.stability) if method.stability else None,
                 "extras": method.extras,
                 "failures": method.failures,
             }

@@ -154,17 +154,6 @@ class FeatureSignature:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "modality": e.modality,
-                "feature": e.feature,
-                "score": e.score,
-                "frequency": e.frequency,
-            }
-            for e in self.entries
-        ]
-
 
 def select_signature(
     per_fold_scores: Sequence[Mapping[tuple[str, str], float]],
@@ -230,15 +219,6 @@ class StabilityReport:
     union_size: int
     universe_size: int
     caveat: Optional[str] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cw_rel": self.cw_rel,
-            "n_subsets": self.n_subsets,
-            "union_size": self.union_size,
-            "universe_size": self.universe_size,
-            "caveat": self.caveat,
-        }
 
 
 def stability_cwrel(

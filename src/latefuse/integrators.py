@@ -31,7 +31,7 @@ Method kinds (config vocabulary):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -547,14 +547,13 @@ def fit_adaboost_mm(
 
 
 def _fit_weighted_forest(X, y, params, sample_weight, seed, n_classes):
-    """Random forest honoring sample weights through weighted bootstrap."""
+    """Random forest honoring sample weights through one weighted resample
+    of the rows; each tree then bootstraps it as `params.bootstrap` says."""
     p = sample_weight / sample_weight.sum()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(404,)))
     n = len(y)
     rows = rng.choice(n, size=n, replace=True, p=p)
-    return fit_random_forest(
-        X[rows], y[rows], replace(params, bootstrap=True), seed=seed, n_classes=n_classes
-    )
+    return fit_random_forest(X[rows], y[rows], params, seed=seed, n_classes=n_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ All learners share the same conventions:
   every fit is invariant to uniform rescaling of the weight vector;
 * feature importance is total weighted impurity decrease per feature,
   normalized to sum to 1 (all zero when no split exists);
-* fits are deterministic functions of (data, params, seed).
+* fits are deterministic functions of (data, params, seed);
+* every fit checks its input against one contract, `_fit_inputs`: a
+  non-empty finite X, one finite target per row (a class index in [0, K)
+  for a classifier) and finite, nonnegative weights, not all zero; any
+  other input raises `LearnerError`.
 
 Split search is exact and has one implementation, `_TreeBuilder`, shared by
 `fit_tree`, the forest and the GBM. Its `_SplitState` is feature-major: one
@@ -23,17 +27,19 @@ reused by the trees of the same round and the next one (older states are
 dropped, and a subsampled fit drops them with each new root); and the
 builder returns every training row's leaf, routed by the same
 x <= threshold rule as `DecisionTree.apply`, so fitting walks no tree.
-`DecisionTree.apply` is the only tree walker and takes several roots:
-a model stacks its trees into one flat tree once, on its first prediction,
-and each prediction walks them all in one call, then adds the per-tree
-values in fitting order.
+A forest checks its input once and hands each tree's rows to the builder.
+`DecisionTree.apply` is the only tree walker and takes several roots. The
+GBM and the forest predict through one path, `_TreeEnsemble`: the model
+stacks its trees into one flat tree once, on its first prediction, and
+each prediction walks them all in one call, then adds the per-tree values
+group by group (a GBM round, a forest tree) in fitting order.
 """
 
 from __future__ import annotations
 
 from collections import ChainMap
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -233,7 +239,9 @@ class _SplitState:
 
 
 class _TreeBuilder:
-    """Recursive greedy CART builder over a dense matrix.
+    """Recursive greedy CART builder over a dense matrix, taking input that
+    `_fit_inputs` has checked (for classification: intp labels, and
+    `params.n_classes` set).
 
     Columns are sorted once at the root; a child inherits its sorted order by
     a stable mask partition instead of re-sorting, which keeps split search
@@ -268,11 +276,8 @@ class _TreeBuilder:
         self.root = root
         self.states = states
         self.leaf_of: Optional[np.ndarray] = None
-        self.n_classes = params.n_classes
         if params.task == "classification":
-            if self.n_classes is None:
-                self.n_classes = int(np.max(y)) + 1
-            self.y_onehot = one_hot(y.astype(np.intp), self.n_classes)
+            self.y_onehot = one_hot(y, params.n_classes)
             # row k: w * onehot[:, k], gathered once per split search
             self.w_onehot = np.ascontiguousarray((w[:, None] * self.y_onehot).T)
         else:
@@ -290,11 +295,7 @@ class _TreeBuilder:
         sorted_root = np.argsort(self.X.T, axis=1, kind="stable")
         with np.errstate(divide="ignore", invalid="ignore"):
             self._grow(sorted_root, None, sorted_root.shape[1], 0, None, ())
-        if self.params.task == "regression":
-            leaf_values = np.array(self.values, dtype=np.float64)
-        else:
-            leaf_values = np.array(self.values, dtype=np.float64).reshape(-1, self.n_classes)
-        return self._tree(leaf_values)
+        return self._tree(np.array(self.values, dtype=np.float64))  # (nodes,) or (nodes, K)
 
     def build_leaves(self) -> tuple[DecisionTree, np.ndarray]:
         """The tree without node values, and the leaf of every row of X."""
@@ -474,6 +475,36 @@ class _TreeBuilder:
         return feat, thr, float(max(best_gain[j], 0.0)), i + 1, in_left
 
 
+def _fit_inputs(X, y, sample_weight=None, n_classes=None, labels=True):
+    """The one input contract of every fit: X is a non-empty, finite 2-D
+    matrix; y one finite target per row, and with `labels` a class index in
+    [0, K), K being `n_classes` or max(y) + 1; sample_weight (ones when None)
+    one finite, nonnegative weight per row, not all zero. Returns X
+    (C-contiguous), w, y (intp with `labels`) and K (None without)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or len(X) == 0:
+        raise LearnerError("X must be a non-empty 2-D matrix")
+    if y.shape != (len(X),):
+        raise LearnerError("y length mismatch")
+    if not np.isfinite(X).all():
+        raise LearnerError("non-finite feature value")
+    if not np.isfinite(y).all():
+        raise LearnerError("non-finite target")
+    w = np.ones(len(X)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != y.shape:
+        raise LearnerError("sample_weight length mismatch")
+    if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+        raise LearnerError("weights must be finite, nonnegative and not all zero")
+    if not labels:
+        return X, w, y, None
+    K = int(n_classes) if n_classes is not None else int(y.max()) + 1
+    y_int = y.astype(np.intp)
+    if (y_int != y).any() or (y_int < 0).any() or (y_int >= K).any():
+        raise LearnerError(f"labels must be class indices in [0, {K})")
+    return X, w, y_int, K
+
+
 def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -482,25 +513,11 @@ def fit_tree(
     rng: Optional[np.random.Generator] = None,
 ) -> DecisionTree:
     """Fit one greedy CART tree (regression or classification)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) == 0:
-        raise LearnerError("X must be a non-empty 2-D matrix")
-    if len(y) != len(X):
-        raise LearnerError("y length mismatch")
-    if not np.isfinite(X).all():
-        raise LearnerError("non-finite feature value")
-    if sample_weight is None:
-        sample_weight = np.ones(len(y), dtype=np.float64)
-    else:
-        sample_weight = np.asarray(sample_weight, dtype=np.float64)
-        if len(sample_weight) != len(y):
-            raise LearnerError("sample_weight length mismatch")
-        if (sample_weight < 0).any() or sample_weight.sum() <= 0:
-            raise LearnerError("weights must be nonnegative and not all zero")
+    labels = params.task == "classification"
+    X, w, y, K = _fit_inputs(X, y, sample_weight, params.n_classes, labels)
     if params.max_features is not None and rng is None:
         rng = np.random.default_rng(0)
-    return _TreeBuilder(X, y, sample_weight, params, rng).build()
+    return _TreeBuilder(X, y, w, replace(params, n_classes=K), rng).build()
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +546,35 @@ class GbmParams:
             raise LearnerError("subsample: must be in (0, 1]")
 
 
+class _TreeEnsemble:
+    """The one prediction path of the GBM and the forest. `trees` holds one
+    group per entry, in fitting order: a round's K class trees, or one
+    forest tree; `_all_trees()` lists every tree in that order."""
+
+    @cached_property
+    def _stacked(self) -> tuple[DecisionTree, np.ndarray]:
+        """All trees as one flat tree, in fitting order; built on first use."""
+        return DecisionTree.stack(self._all_trees())
+
+    def _sum_groups(self, X: np.ndarray, start: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """`start` plus `scale` times each group's leaf values, for every row
+        of X: one walk of every tree, then the groups added in fitting order."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] != self.n_features:
+            raise LearnerError(
+                f"X has {X.shape[1]} columns, model was trained on {self.n_features}"
+            )
+        out = np.tile(start, (len(X), 1))
+        if self.trees:
+            flat, roots = self._stacked
+            steps = flat.leaf_values[flat.apply(X, roots)].reshape(len(X), len(self.trees), -1)
+            for g in range(len(self.trees)):
+                out += scale * steps[:, g]
+        return out
+
+
 @dataclass
-class GbmModel:
+class GbmModel(_TreeEnsemble):
     """Softmax multiclass gradient boosting over regression trees.
 
     trees[round][class] holds the round's per-class regression tree whose leaf
@@ -545,25 +589,11 @@ class GbmModel:
     feature_importances_: np.ndarray
     train_losses_: list
 
-    def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.n_features:
-            raise LearnerError(
-                f"X has {X.shape[1]} columns, model was trained on {self.n_features}"
-            )
-        scores = np.tile(self.init_scores, (len(X), 1))
-        if not self.trees:
-            return scores
-        flat, roots = self._stacked
-        steps = flat.leaf_values[flat.apply(X, roots)].reshape(len(X), len(self.trees), -1)
-        for r in range(len(self.trees)):  # round by round, as in fitting
-            scores += self.params.learning_rate * steps[:, r]
-        return scores
+    def _all_trees(self) -> list:
+        return [t for round_trees in self.trees for t in round_trees]
 
-    @cached_property
-    def _stacked(self) -> tuple[DecisionTree, np.ndarray]:
-        """All trees as one flat tree, in fitting order; built on first use."""
-        return DecisionTree.stack([t for round_trees in self.trees for t in round_trees])
+    def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        return self._sum_groups(X, self.init_scores, self.params.learning_rate)
 
     def predict_proba(self, X: np.ndarray) -> PredictionSet:
         return PredictionSet.from_probabilities(softmax(self.decision_scores(X)))
@@ -580,9 +610,10 @@ def fit_gbm(
     """Fit the multiclass GBM.
 
     Per round and class, a regression tree is fit to the negative log-loss
-    gradient (one-hot minus softmax) under the shared sample weights; leaf
-    values take the damped multiclass step (K-1)/K * sum(w*r)/sum(w*|r|(1-|r|))
-    and are scaled by the learning rate at prediction time.
+    gradient (one-hot minus softmax, taken as `-log_loss_gradient` at unit
+    weights) under the shared sample weights; leaf values take the damped
+    multiclass step (K-1)/K * sum(w*r)/sum(w*|r|(1-|r|)) and are scaled by
+    the learning rate at prediction time.
 
     The class trees of a round are fit on the same rows and weights, so they
     share one root `_SplitState` (computed once per fit, or once per round
@@ -591,25 +622,9 @@ def fit_gbm(
     row's leaf, which gives the leaf sums and the score update without
     walking the tree.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.intp)
-    if X.ndim != 2 or len(X) == 0:
-        raise LearnerError("X must be a non-empty 2-D matrix")
-    if not np.isfinite(X).all():
-        raise LearnerError("non-finite feature value")
-    if sample_weight is None:
-        w = np.ones(len(y), dtype=np.float64)
-    else:
-        w = np.asarray(sample_weight, dtype=np.float64)
-        if len(w) != len(y):
-            raise LearnerError("sample_weight length mismatch")
-        if (w < 0).any() or w.sum() <= 0:
-            raise LearnerError("weights must be nonnegative and not all zero")
-    K = int(n_classes) if n_classes is not None else int(np.max(y)) + 1
+    X, w, y, K = _fit_inputs(X, y, sample_weight, n_classes)
     if K < 2:
         raise LearnerError("need at least 2 classes")
-    if (y < 0).any() or (y >= K).any():
-        raise LearnerError("label index out of range")
 
     n = len(y)
     priors = np.zeros(K, dtype=np.float64)
@@ -617,7 +632,7 @@ def fit_gbm(
     priors /= w.sum()
     init_scores = np.log(np.clip(priors, 1e-12, None))
 
-    y_oh = one_hot(y, K)
+    unit = np.ones(n, dtype=np.float64)  # the residual is unweighted; w enters the trees
     scores = np.tile(init_scores, (n, 1))
     tree_params = TreeParams(max_depth=params.max_depth, min_leaf=params.min_leaf)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
@@ -629,8 +644,7 @@ def fit_gbm(
     rows, root = slice(None), None  # the trees' rows: all, or each round's subsample
     states = ChainMap()  # child states by path: this round's map, then the last round's
     for _ in range(params.n_rounds):
-        p = softmax(scores)
-        residual = y_oh - p
+        residual = -log_loss_gradient(scores, y, unit)  # one-hot minus softmax
         if params.subsample < 1.0:
             m = max(1, int(round(params.subsample * n)))
             rows = rng.choice(n, size=m, replace=False)
@@ -699,31 +713,20 @@ class RandomForestParams:
 
 
 @dataclass
-class RandomForestModel:
+class RandomForestModel(_TreeEnsemble):
     params: RandomForestParams
     n_classes: int
     n_features: int
     trees: list
     feature_importances_: np.ndarray
 
+    def _all_trees(self) -> list:
+        return self.trees
+
     def predict_proba(self, X: np.ndarray) -> PredictionSet:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.n_features:
-            raise LearnerError(
-                f"X has {X.shape[1]} columns, model was trained on {self.n_features}"
-            )
-        flat, roots = self._stacked
-        rows = flat.leaf_values[flat.apply(X, roots)]
-        acc = np.zeros((len(X), self.n_classes), dtype=np.float64)
-        for t in range(len(self.trees)):  # tree by tree, in fitting order
-            acc += rows[:, t]
+        acc = self._sum_groups(X, np.zeros(self.n_classes))
         acc /= len(self.trees)
         return PredictionSet.from_probabilities(acc)
-
-    @cached_property
-    def _stacked(self) -> tuple[DecisionTree, np.ndarray]:
-        """All trees as one flat tree, in fitting order; built on first use."""
-        return DecisionTree.stack(self.trees)
 
 
 def fit_random_forest(
@@ -738,11 +741,7 @@ def fit_random_forest(
     Each tree gets its own seed derived from (seed, tree index), so results
     are independent of any parallel scheduling of tree fits.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.intp)
-    if X.ndim != 2 or len(X) == 0:
-        raise LearnerError("X must be a non-empty 2-D matrix")
-    K = int(n_classes) if n_classes is not None else int(np.max(y)) + 1
+    X, w, y, K = _fit_inputs(X, y, None, n_classes)
     n, n_feat = X.shape
     k = max(1, int(np.sqrt(n_feat))) if params.max_features == "sqrt" else None
     tree_params = TreeParams(
@@ -758,7 +757,7 @@ def fit_random_forest(
     for i in range(params.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        tree = fit_tree(X[rows], y[rows], None, tree_params, rng=rng)
+        tree = _TreeBuilder(X[rows], y[rows], w[rows], tree_params, rng).build()
         importance += tree.raw_importance
         trees.append(tree)
     total = importance.sum()

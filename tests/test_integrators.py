@@ -308,6 +308,20 @@ class TestAdaboost:
         assert pred.n_samples == 60
         np.testing.assert_allclose(pred.probabilities.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_ada_meta_forest_honours_bootstrap(self, rng, monkeypatch, bootstrap):
+        forests = []
+        fit_forest = integrators.fit_random_forest
+        monkeypatch.setattr(integrators, "fit_random_forest",
+                            lambda X, y, params, **kw: forests.append(params)
+                            or fit_forest(X, y, params, **kw))
+        tables, y = _two_modality_data(rng, n=60)
+        meta_forest = RandomForestParams(n_trees=3, bootstrap=bootstrap)
+        spec = IntegratorSpec(kind="ADA-M", base=FAST, boosting_rounds=2, ada_inner_folds=3,
+                              meta_forest=meta_forest)
+        fit_adaboost_mm(tables, y, spec, 3, seed=5)
+        assert forests and all(params == meta_forest for params in forests)
+
 
 class TestMetaLearner:
     def test_meta_importance_concentrates_on_signal(self):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latefuse import learners
+from latefuse.integrators import FitContext
 from latefuse.learners import (
     DecisionTree,
     GbmModel,
@@ -232,6 +234,102 @@ class TestParams:
     def test_forest_params_rejected(self, bad):
         with pytest.raises(LearnerError, match=f"^{next(iter(bad))}: "):
             RandomForestParams(**bad)
+
+
+# ---------------------------------------------------------------------------
+# the input contract: every fit entry rejects the same bad inputs
+# ---------------------------------------------------------------------------
+
+
+def _spoiled(case):
+    """A 6x2 matrix, labels in [0, 3) and unit weights, spoiled as `case` says."""
+    X = np.arange(12, dtype=np.float64).reshape(6, 2)
+    y = np.array([0, 1, 2, 0, 1, 2], dtype=np.float64)
+    w = np.ones(6)
+    if case == "nan weight":
+        w[2] = np.nan
+    elif case == "inf weight":
+        w[2] = np.inf
+    elif case == "negative weight":
+        w[2] = -1.0
+    elif case == "all-zero weights":
+        w[:] = 0.0
+    elif case == "nan target":
+        y[2] = np.nan
+    elif case == "label -1":
+        y[2] = -1
+    elif case == "label >= K":
+        y[2] = 3
+    elif case == "weight length mismatch":
+        w = w[:5]
+    elif case == "length mismatch":  # y against X, with default weights
+        y, w = y[:5], None
+    elif case == "nan in X":
+        X[2, 1] = np.nan
+    elif case == "inf in X":
+        X[2, 1] = -np.inf
+    return X, y, w
+
+
+_WEIGHT_CASES = (
+    "nan weight", "inf weight", "negative weight", "all-zero weights", "weight length mismatch",
+)
+_LABEL_CASES = ("label -1", "label >= K")
+_SHARED_CASES = ("nan target", "length mismatch", "nan in X", "inf in X")
+
+# (name, fit of (X, y, w), the bad inputs that apply to it)
+_FIT_ENTRIES = (
+    ("fit_tree classification",
+     lambda X, y, w: fit_tree(X, y, w, TreeParams(task="classification", n_classes=3)),
+     _WEIGHT_CASES + _LABEL_CASES + _SHARED_CASES),
+    ("fit_tree regression", lambda X, y, w: fit_tree(X, y, w),
+     _WEIGHT_CASES + _SHARED_CASES),
+    ("fit_gbm", lambda X, y, w: fit_gbm(X, y, w, GbmParams(n_rounds=2), n_classes=3),
+     _WEIGHT_CASES + _LABEL_CASES + _SHARED_CASES),
+    ("fit_random_forest",  # takes no weights
+     lambda X, y, w: fit_random_forest(X, y, RandomForestParams(n_trees=2), n_classes=3),
+     _LABEL_CASES + _SHARED_CASES),
+    ("FitContext.gbm",
+     lambda X, y, w: FitContext().gbm(X, y, w, GbmParams(n_rounds=2), 0, 3),
+     _WEIGHT_CASES + _LABEL_CASES + _SHARED_CASES),
+)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("entry, case", [
+        pytest.param(fit, case, id=f"{name}-{case}")
+        for name, fit, cases in _FIT_ENTRIES for case in cases
+    ])
+    def test_bad_input_raises_learner_error(self, entry, case):
+        with pytest.raises(LearnerError):
+            entry(*_spoiled(case))
+
+
+def test_gbm_residual_is_the_negative_log_loss_gradient(monkeypatch):
+    # test_criterion_03_boosting_correctness checks log_loss_gradient by
+    # finite differences; this pins that the fit's residual is that
+    # function's output, at unit weights
+    calls = []
+    real = learners.log_loss_gradient
+
+    def spy(scores, y, sample_weight):
+        calls.append(sample_weight)
+        return real(scores, y, sample_weight)
+
+    X = np.arange(24, dtype=np.float64).reshape(12, 2)
+    y = np.array([0, 1, 2] * 4)
+    w = np.linspace(0.5, 2.0, 12)
+    params = GbmParams(n_rounds=4, max_depth=2, min_leaf=1)
+    monkeypatch.setattr(learners, "log_loss_gradient", spy)
+    model = fit_gbm(X, y, w, params)
+    assert len(calls) == params.n_rounds
+    for unit in calls:
+        np.testing.assert_array_equal(unit, np.ones(12))
+    # a zero gradient leaves nothing to fit: every leaf step is 0
+    monkeypatch.setattr(learners, "log_loss_gradient", lambda s, y, w: np.zeros_like(s))
+    flat = fit_gbm(X, y, w, params)
+    assert all((t.leaf_values == 0).all() for r in flat.trees for t in r)
+    assert any((t.leaf_values != 0).any() for r in model.trees for t in r)
 
 
 # ---------------------------------------------------------------------------
