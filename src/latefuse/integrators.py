@@ -44,6 +44,7 @@ from .learners import (
     GbmParams,
     PredictionSet,
     RandomForestParams,
+    _fit_inputs,
     fit_gbm,
     fit_random_forest,
 )
@@ -180,13 +181,9 @@ class FitContext:
     def gbm(self, X, y, w, params: GbmParams, seed: int, K: int) -> GbmModel:
         if params.subsample < 1.0:
             return fit_gbm(X, y, w, params, seed=seed, n_classes=K)
-        key = (
-            id(X),
-            np.asarray(y, dtype=np.intp).tobytes(),
-            np.asarray(w, dtype=np.float64).tobytes(),
-            params,
-            K,
-        )
+        # check the input before its labels and weights go into the key
+        _, w_checked, y_checked, _ = _fit_inputs(X, y, w, K)
+        key = (id(X), y_checked.tobytes(), w_checked.tobytes(), params, K)
         entry = self._fits.get(key)
         if entry is None:
             entry = self._fits[key] = (X, fit_gbm(X, y, w, params, seed=seed, n_classes=K))

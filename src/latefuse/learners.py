@@ -13,7 +13,8 @@ All learners share the same conventions:
 * every fit checks its input against one contract, `_fit_inputs`: a
   non-empty finite X, one finite target per row (a class index in [0, K)
   for a classifier) and finite, nonnegative weights, not all zero; any
-  other input raises `LearnerError`.
+  other input raises `LearnerError`, as does a prediction on anything but
+  a finite 2-D X with the trained number of columns.
 
 Split search is exact and has one implementation, `_TreeBuilder`, shared by
 `fit_tree`, the forest and the GBM. Its `_SplitState` is feature-major: one
@@ -560,10 +561,14 @@ class _TreeEnsemble:
         """`start` plus `scale` times each group's leaf values, for every row
         of X: one walk of every tree, then the groups added in fitting order."""
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise LearnerError("X must be a 2-D matrix")
         if X.shape[1] != self.n_features:
             raise LearnerError(
                 f"X has {X.shape[1]} columns, model was trained on {self.n_features}"
             )
+        if not np.isfinite(X).all():
+            raise LearnerError("non-finite feature value")
         out = np.tile(start, (len(X), 1))
         if self.trees:
             flat, roots = self._stacked

@@ -189,9 +189,9 @@ def _train_scale(train_values: np.ndarray) -> np.ndarray:
 class KnnDonors:
     """The training side of `impute_knn`: the training values and their
     observed mask, checked once, plus each feature's training standard
-    deviation (`scale`), the scaled values (0 where missing) and the feature
-    means, computed on first use because a table with no missing cell needs
-    none of them."""
+    deviation (`scale`), the scaled values t (0 where missing), t∘t, the
+    mask as floats and the feature means, computed on first use because a
+    table with no missing cell needs none of them."""
 
     def __init__(self, train: ModalityTable, cfg: PreprocessConfig):
         if train.n_samples < cfg.knn_k + 1:
@@ -211,8 +211,119 @@ class KnnDonors:
         return np.where(self.observed, self.values / self.scale, 0.0)
 
     @cached_property
+    def scaled_sq(self) -> np.ndarray:
+        return self.scaled * self.scaled
+
+    @cached_property
+    def observed_f(self) -> np.ndarray:
+        return self.observed.astype(np.float64)
+
+    @cached_property
     def mean(self) -> np.ndarray:
         return np.nanmean(self.values, axis=0)
+
+
+# apply rows screened together; bounds the (rows, n_train) Gram products
+_KNN_BLOCK = 32
+_EPS = np.finfo(np.float64).eps
+
+
+def _impute_row(out: np.ndarray, i: int, donors: KnnDonors, k: int) -> None:
+    """Impute row i of `out` in place from its exact distance to every
+    training row."""
+    row = out[i]
+    row_observed = ~np.isnan(row)
+    r_scaled = np.where(row_observed, row / donors.scale, 0.0)
+    shared = donors.observed & row_observed
+    diff = (donors.scaled - r_scaled) * shared
+    dist = np.sqrt((diff * diff).sum(axis=1))
+    dist[~shared.any(axis=1)] = np.inf
+    order = np.argsort(dist, kind="stable")
+    order = order[np.isfinite(dist[order])]
+    miss = np.flatnonzero(~row_observed)
+    # a column's donors are the first k candidates that observe it; look
+    # among the nearest 4 * k first, and among all candidates only when some
+    # column has fewer than k donors there
+    cands = order[: 4 * k]
+    observed = donors.observed[cands[None, :], miss[:, None]]
+    if len(cands) < len(order) and (observed.sum(axis=1) < k).any():
+        cands = order
+        observed = donors.observed[cands[None, :], miss[:, None]]
+    take = observed & (np.cumsum(observed, axis=1) <= k)
+    # nonzero lists the donors column by column, nearest first
+    col, pos = np.nonzero(take)
+    donor_values = donors.values[cands[pos], miss[col]]
+    n_donors = take.sum(axis=1)
+    out[i, miss[n_donors == 0]] = donors.mean[miss[n_donors == 0]]
+    # summing each column's donors along one contiguous row adds them in
+    # the same order as the 1-D mean of that column's donors
+    for c in set(n_donors.tolist()) - {0}:
+        values = donor_values[n_donors[col] == c].reshape(-1, c)
+        out[i, miss[n_donors == c]] = values.sum(axis=1) / c
+
+
+def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: int) -> np.ndarray:
+    """Impute in place the `rows` of `out` whose nearest 4 * k candidates a
+    Gram screen settles, and return the other rows.
+
+    With r and t the scaled values (0 where missing) and M_r, M_t the
+    observed masks, every masked squared distance is
+    d2 = A + B - 2 r.t^T, with A = (r∘r).M_t^T and B = M_r.(t∘t)^T. In any
+    summation order, d2 differs from the sum of squares `_impute_row`
+    computes by at most about (2F + 5) * eps * (A + B), plus 3F smallest
+    subnormals for underflow; E = (4F + 16) * (eps * (A + B) + smallest
+    subnormal) is at least twice that. The screen keeps every training row
+    j with d2_j - E_j <= H, H being the 4k-th smallest d2 + E raised by
+    8 eps and the smallest normal number, so that square-root rounding
+    cannot tie a row left out with a kept one. When it keeps exactly 4k
+    rows, they are the nearest 4k in `_impute_row`'s stable order, and
+    their exact distances, gathered in index order, sort the same way. A
+    row goes back when it has at most 4k candidates, when the screen keeps
+    more (ties, or rounding too large to decide), when a bound or distance
+    is not finite, or when some missing column has fewer than k donors
+    among the 4k, where the search would widen.
+    """
+    m4 = 4 * k
+    x = out[rows]
+    observed = ~np.isnan(x)
+    r = np.where(observed, x / donors.scale, 0.0)
+    mask = observed.astype(np.float64)
+    shares = (mask @ donors.observed_f.T) > 0
+    # overflow makes a bound non-finite, and the row falls back
+    with np.errstate(invalid="ignore", over="ignore"):
+        a = (r * r) @ donors.observed_f.T
+        b = mask @ donors.scaled_sq.T
+        d2 = a + b - 2.0 * (r @ donors.scaled.T)
+        err = (4 * x.shape[1] + 16) * (_EPS * (a + b) + np.finfo(np.float64).smallest_subnormal)
+        hi = np.where(shares, d2 + err, np.inf)
+        lo = np.where(shares, d2 - err, np.inf)
+        h = np.partition(hi, m4 - 1, axis=1)[:, m4 - 1:m4]
+        keep = lo <= h * (1.0 + 8 * _EPS) + np.finfo(np.float64).tiny
+    settled = (
+        (shares.sum(axis=1) > m4)
+        & (keep.sum(axis=1) == m4)
+        & (np.isfinite(hi) | ~shares).all(axis=1)
+    )
+    fast = np.flatnonzero(settled)
+    # the kept rows, in ascending index order, and their exact distances
+    kept = np.nonzero(keep[fast])[1].reshape(len(fast), m4)
+    shared = donors.observed[kept] & observed[fast, None, :]
+    diff = (donors.scaled[kept] - r[fast, None, :]) * shared
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    cands = np.take_along_axis(kept, np.argsort(dist, axis=1, kind="stable"), axis=1)
+    # each missing cell's first k observing candidates, nearest first
+    cell, col = np.nonzero(~observed[fast])
+    observing = donors.observed[cands[cell], col[:, None]]
+    short = np.bincount(cell, observing.sum(axis=1) < k, minlength=len(fast)) > 0
+    settled[fast[short | ~np.isfinite(dist).all(axis=1)]] = False
+    done = settled[fast[cell]]
+    cell, col, observing = cell[done], col[done], observing[done]
+    take = observing & (np.cumsum(observing, axis=1) <= k)
+    # k donors per cell, nearest first along one contiguous row, as in
+    # `_impute_row`
+    donor_values = donors.values[cands[cell], col[:, None]][take].reshape(-1, k)
+    out[rows[fast[cell]], col] = donor_values.sum(axis=1) / k
+    return rows[~settled]
 
 
 def impute_knn(
@@ -224,55 +335,35 @@ def impute_knn(
     """Fill missing cells from the k nearest training rows.
 
     Distance is Euclidean over mutually observed features, each feature
-    scaled by its training standard deviation. A cell's donors are the nearest
-    training rows where that feature is observed; with no usable donor the
-    training feature mean is used. `donors` is `KnnDonors(train, cfg)`,
-    passed by a caller that imputes several tables from one training split.
+    scaled by its training standard deviation; rows sharing no observed
+    feature are never donors, and ties keep the earlier training row. A
+    cell's donors are the k nearest training rows where that feature is
+    observed, averaged; with no usable donor the training feature mean is
+    used. `donors` is `KnnDonors(train, cfg)`, passed by a caller that
+    imputes several tables from one training split.
+
+    When there are more than 4 * knn_k training rows, blocks of rows go
+    through `_impute_screened`: Gram products bound every distance, and
+    exact distances are computed only for the nearest 4 * knn_k. A row the
+    screen cannot settle (ties at the 4 * knn_k-th candidate, too few
+    candidates, or a column with fewer than knn_k donors among them) takes
+    `_impute_row`, which computes every exact distance. Both give the same
+    bits.
     """
     if train.feature_names != apply_to.feature_names:
         raise PreprocessError("train/apply feature mismatch")
     if donors is None:
         donors = KnnDonors(train, cfg)
     out = apply_to.values.copy()
-    rows_with_missing = np.flatnonzero(np.isnan(out).any(axis=1))
-    if len(rows_with_missing) == 0:
-        return ModalityTable(
-            apply_to.modality_name, list(apply_to.sample_ids), list(apply_to.feature_names), out
-        )
-
-    tv, train_observed, scale = donors.values, donors.observed, donors.scale
-    t_scaled, train_mean = donors.scaled, donors.mean
-
-    for i in rows_with_missing:
-        row = out[i]
-        row_observed = ~np.isnan(row)
-        r_scaled = np.where(row_observed, row / scale, 0.0)
-        shared = train_observed & row_observed
-        diff = (t_scaled - r_scaled) * shared
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        dist[~shared.any(axis=1)] = np.inf
-        order = np.argsort(dist, kind="stable")
-        order = order[np.isfinite(dist[order])]
-        miss = np.flatnonzero(~row_observed)
-        # a column's donors are the first knn_k candidates that observe it;
-        # look among the nearest 4 * knn_k first, and among all candidates
-        # only when some column has fewer than knn_k donors there
-        cands = order[: 4 * cfg.knn_k]
-        observed = train_observed[cands[None, :], miss[:, None]]
-        if len(cands) < len(order) and (observed.sum(axis=1) < cfg.knn_k).any():
-            cands = order
-            observed = train_observed[cands[None, :], miss[:, None]]
-        take = observed & (np.cumsum(observed, axis=1) <= cfg.knn_k)
-        # nonzero lists the donors column by column, nearest first
-        col, pos = np.nonzero(take)
-        donor_values = tv[cands[pos], miss[col]]
-        n_donors = take.sum(axis=1)
-        out[i, miss[n_donors == 0]] = train_mean[miss[n_donors == 0]]
-        # summing each column's donors along one contiguous row adds them in
-        # the same order as the 1-D mean of that column's donors
-        for c in set(n_donors.tolist()) - {0}:
-            values = donor_values[n_donors[col] == c].reshape(-1, c)
-            out[i, miss[n_donors == c]] = values.sum(axis=1) / c
+    rows = np.flatnonzero(np.isnan(out).any(axis=1))
+    k = cfg.knn_k
+    if len(rows) and len(donors.values) > 4 * k:
+        rows = np.concatenate([
+            _impute_screened(out, rows[s : s + _KNN_BLOCK], donors, k)
+            for s in range(0, len(rows), _KNN_BLOCK)
+        ])
+    for i in rows:
+        _impute_row(out, i, donors, k)
     return ModalityTable(
         apply_to.modality_name, list(apply_to.sample_ids), list(apply_to.feature_names), out
     )

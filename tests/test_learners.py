@@ -1,4 +1,5 @@
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,33 @@ class TestInputContract:
     def test_bad_input_raises_learner_error(self, entry, case):
         with pytest.raises(LearnerError):
             entry(*_spoiled(case))
+
+    @pytest.mark.parametrize("entry", [
+        pytest.param(fit, id=name) for name, fit, cases in _FIT_ENTRIES if "nan target" in cases
+    ])
+    def test_nan_target_raises_before_any_warning(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LearnerError, match="non-finite target"):
+                entry(*_spoiled("nan target"))
+
+    @pytest.mark.parametrize("predict", ["gbm proba", "gbm scores", "forest proba"])
+    @pytest.mark.parametrize("case", ["1-D", "nan", "inf"])
+    def test_bad_prediction_input_raises_learner_error(self, predict, case):
+        X, y, _ = _spoiled("none")  # clean input
+        if predict == "forest proba":
+            model = fit_random_forest(X, y, RandomForestParams(n_trees=2), n_classes=3)
+            call = model.predict_proba
+        else:
+            model = fit_gbm(X, y, params=GbmParams(n_rounds=2), n_classes=3)
+            call = model.predict_proba if predict == "gbm proba" else model.decision_scores
+        if case == "1-D":
+            X_bad = X[0]
+        else:
+            X_bad = X.copy()
+            X_bad[1, 0] = np.nan if case == "nan" else np.inf
+        with pytest.raises(LearnerError):
+            call(X_bad)
 
 
 def test_gbm_residual_is_the_negative_log_loss_gradient(monkeypatch):

@@ -13,12 +13,13 @@ from latefuse.preprocess import (
     _pairwise_complete_correlation,
     _train_scale,
     normalize,
+    prepare_fold,
     prune_correlated,
     smote_balance_tables,
     variance_topk,
 )
 
-from conftest import make_table
+from conftest import make_dataset, make_table
 
 CFG = PreprocessConfig()
 
@@ -277,6 +278,36 @@ def assert_matches_reference(train, apply_to, cfg):
     assert not np.isnan(out.values).any()
 
 
+def _gram_path_table(n, n_features, rate, stress, rng):
+    """Rows built to stress the Gram screen: columns at scales 10^-3..10^3
+    and, each with probability `stress`, a trap column: shifted up to 10^9
+    spreads from zero (so A + B - 2 r.t^T cancels), constant, few-valued
+    (tied distances), signed zeros or mostly missing; plus duplicated rows
+    and rows one ulp away from another."""
+    traps = ["offset", "constant", "rounded", "zeros", "sparse"]
+    cols = []
+    for _ in range(n_features):
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        kind = rng.choice(traps) if rng.uniform() < stress else "normal"
+        if kind == "offset":
+            x += np.abs(x).max() * 10.0 ** rng.uniform(0, 9)
+        elif kind == "constant":
+            x[:] = rng.choice([0.0, -0.0, 3.0])
+        elif kind == "rounded":
+            x = np.round(x / np.abs(x).max() * 2)
+        elif kind == "zeros":
+            x = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)
+        elif kind == "sparse":
+            x[rng.uniform(size=n) < 0.85] = np.nan
+        cols.append(x)
+    tv = with_missing(np.column_stack(cols), rate, rng)
+    dup = rng.uniform(size=n) < 0.2 * stress
+    tv[dup] = tv[rng.integers(n, size=int(dup.sum()))]
+    near = rng.uniform(size=n) < 0.2 * stress
+    tv[near] = np.nextafter(tv[rng.integers(n, size=int(near.sum()))], np.inf)
+    return tv
+
+
 class TestImputeKnn:
     def test_mean_of_donors(self):
         # six training rows identical in observed coordinates; donor mean is 3.0
@@ -374,6 +405,49 @@ class TestImputeKnn:
         cfg = PreprocessConfig(knn_k=knn_k)
         assert_matches_reference(make_table(values=tv), make_table(values=apply_to), cfg)
 
+    def test_gram_path_matches_reference_property(self, monkeypatch):
+        """More training rows than 4 * knn_k, so blocks of rows go through the
+        Gram screen; over the run, some rows are settled by it and some fall
+        back to the per-row search."""
+        counts = {"fallback": 0, "rows": 0}
+        per_row = preprocess._impute_row
+
+        def counted(out, i, donors, k):
+            counts["fallback"] += 1
+            per_row(out, i, donors, k)
+
+        monkeypatch.setattr(preprocess, "_impute_row", counted)
+
+        @settings(max_examples=80, deadline=None)
+        @given(
+            knn_k=st.one_of(st.integers(1, 7), st.integers(8, 12)),
+            extra=st.integers(1, 80),
+            n_apply=st.integers(1, 70),
+            n_features=st.integers(1, 24),
+            rate=st.floats(0.0, 0.5),
+            stress=st.floats(0.0, 1.0),
+            copies=st.floats(0.0, 1.0),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(knn_k, extra, n_apply, n_features, rate, stress, copies, seed):
+            rng = np.random.default_rng(seed)
+            n_train = 4 * knn_k + extra
+            values = _gram_path_table(n_train + n_apply, n_features, rate, stress, rng)
+            tv, apply_to = values[:n_train], values[n_train:]
+            tv[0, np.isnan(tv).all(axis=0)] = 1.0  # every column keeps a training cell
+            # some apply rows copy a training row (distance 0)
+            copied = rng.uniform(size=n_apply) < copies
+            apply_to[copied] = tv[rng.integers(n_train, size=int(copied.sum()))]
+            apply_to = with_missing(apply_to, 0.1, rng)
+            train, target = make_table(values=tv), make_table(values=apply_to)
+            cfg = PreprocessConfig(knn_k=knn_k)
+            counts["rows"] += int(np.isnan(apply_to).any(axis=1).sum())
+            out = impute_knn(train, target, cfg)
+            assert out.values.tobytes() == reference_impute_knn(train, target, cfg).tobytes()
+
+        check()
+        assert 0 < counts["fallback"] < counts["rows"]
+
     def test_all_missing_training_feature_errors(self):
         train = make_table(values=np.column_stack([np.full(6, np.nan), np.arange(6.0)]))
         target = make_table(values=np.array([[1.0, np.nan]]))
@@ -384,6 +458,63 @@ class TestImputeKnn:
         train = make_table(values=np.arange(6.0).reshape(3, 2))
         with pytest.raises(PreprocessError, match="training samples"):
             impute_knn(train, train, CFG)
+
+
+_DONOR_STATS = ("values", "observed", "scale", "scaled", "scaled_sq", "observed_f", "mean")
+
+
+def _fold_state(dataset, train_idx, test_idx, monkeypatch):
+    """prepare_fold's fit tables and labels, and what each fitted
+    preprocessor holds once the test rows have been transformed, as bytes."""
+    fitted = []
+    fit = preprocess.fit_preprocessor
+
+    def recorded(table, cfg):
+        fitted.append(fit(table, cfg))
+        return fitted[-1]
+
+    monkeypatch.setattr(preprocess, "fit_preprocessor", recorded)
+    train_p, y_train, _, _ = prepare_fold(dataset, train_idx, test_idx, CFG, smote_seed=3)
+    state = [[t.values.tobytes() for t in train_p], y_train.tobytes()]
+    for p in fitted:
+        state.append(p.kept_feature_names)
+        state.append(p.train_transformed.values.tobytes())
+        state.extend(getattr(p.knn_donors, name).tobytes() for name in _DONOR_STATS)
+    return state
+
+
+class TestNoLeakFromTestRows:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_train=st.integers(24, 60),
+        n_test=st.integers(1, 40),
+        rate=st.floats(0.05, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_test_rows_leave_the_fit_unchanged(self, n_train, n_test, rate, seed):
+        """More than 4 * knn_k training rows with missing cells, so the
+        training rows are imputed through the Gram screen; the test rows are
+        redrawn at another scale, with another missing pattern and labels."""
+        rng = np.random.default_rng(seed)
+        n = n_train + n_test
+        test_idx = np.sort(rng.choice(n, size=n_test, replace=False))
+        train_idx = np.setdiff1d(np.arange(n), test_idx)
+        y = np.zeros(n, dtype=np.intp)
+        y[train_idx] = rng.permutation(np.arange(n_train) % 3)
+        tables = [make_table(name, with_missing(rng.normal(size=(n, f)), rate, rng))
+                  for name, f in (("A", 12), ("B", 7))]
+
+        def state():
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                return _fold_state(make_dataset(tables, y), train_idx, test_idx, monkeypatch)
+
+        before = state()
+        for t in tables:
+            t.values[test_idx] = with_missing(
+                rng.normal(size=(n_test, t.n_features)) * 1e3, 0.5, rng
+            )
+        y[test_idx] = rng.integers(0, 3, size=n_test)
+        assert state() == before
 
 
 class TestNormalize:

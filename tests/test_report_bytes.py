@@ -69,6 +69,35 @@ PRUNE_CONFIG = {
 PRUNE_SHA256 = "381e75b901ba0b3d4f9bc41e8e4bcc1b098f8cc4e377b6a9b99067760bdeb704"
 
 
+# Both modalities have missing cells in most of their 30 training rows per
+# fold, more than 4 * knn_k = 20, so kNN imputation screens donors with Gram
+# products; COUNTS is also count-valued and cpm_log-normalised.
+IMPUTE_CONFIG = {
+    "seed": 11,
+    "output_dir": "out",
+    "synth": {
+        "n_samples": 60,
+        "n_classes": 3,
+        "modalities": [
+            {"name": "GAPPY", "n_features": 40, "n_informative": 8, "separation": 1.5,
+             "missing_fraction": 0.2},
+            {"name": "COUNTS", "n_features": 25, "n_informative": 5, "separation": 1.5,
+             "missing_fraction": 0.1, "count_valued": True},
+        ],
+    },
+    "folds": {"repeats": 1, "folds": 2},
+    "preprocess": {"normalization": {"COUNTS": "cpm_log"}},
+    "methods": [
+        {"kind": "ENS-S", "base": {"n_rounds": 5, "max_depth": 2}},
+        {"kind": "CONCAT", "base": {"n_rounds": 5, "max_depth": 2}},
+    ],
+}
+
+# sha256 of report.json for IMPUTE_CONFIG, recorded while every row took the
+# per-row search over all training rows.
+IMPUTE_SHA256 = "78d292c69cac18a828899e6491a7a870c242bf977ae52df69bda840aa9e35b4f"
+
+
 # `latefuse incremental` on three modalities, one with missing cells: the
 # selector's inner folds impute, balance and score every subset it visits.
 INCREMENTAL_CONFIG = {
@@ -155,6 +184,25 @@ def test_pruning_report_bytes_unchanged(tmp_path, monkeypatch):
     assert [name for name, _, _ in pruned] == ["DENSE", "GAPPY"] * 2
     assert dense == [True, False] * 2
     assert all(n_out < n_in for _, n_in, n_out in pruned)
+
+
+def test_imputation_report_bytes_unchanged(tmp_path, monkeypatch):
+    screened = []
+    screen = preprocess._impute_screened
+
+    def recorded_screen(out, rows, donors, k):
+        left = screen(out, rows, donors, k)
+        screened.append((len(rows), len(left)))
+        return left
+
+    monkeypatch.setattr(preprocess, "_impute_screened", recorded_screen)
+    _run(tmp_path, monkeypatch, IMPUTE_CONFIG)
+    _assert_digest(tmp_path, IMPUTE_SHA256)
+    # the training and test rows with a missing cell, of both modalities in
+    # both folds: the screen settles every one
+    assert len(screened) == 8
+    assert sum(n for n, _ in screened) == 232
+    assert all(left == 0 for _, left in screened)
 
 
 def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
