@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latefuse.data import (
     DataError,
@@ -139,30 +141,35 @@ class TestFoldPlan:
         with pytest.raises(DataError, match="< 5 folds"):
             make_fold_plan(labels, repeats=1, folds=5, seed=0)
 
-    def test_partition_property(self, rng):
-        for trial in range(5):
-            n_classes = int(rng.integers(2, 5))
-            counts = rng.integers(6, 15, size=n_classes)
-            labels = np.concatenate([np.full(c, k) for k, c in enumerate(counts)])
-            labels = labels[rng.permutation(len(labels))]
-            plan = make_fold_plan(labels, repeats=2, folds=3, seed=trial)
-            for r in range(2):
-                combined = np.concatenate([plan.test_indices(r, f) for f in range(3)])
-                assert sorted(combined.tolist()) == list(range(len(labels)))
-
-    def test_stratification_property(self, rng):
-        for trial in range(5):
-            counts = rng.integers(8, 20, size=3)
-            labels = np.concatenate([np.full(c, k) for k, c in enumerate(counts)])
-            labels = labels[rng.permutation(len(labels))]
-            folds = 4
-            plan = make_fold_plan(labels, repeats=2, folds=folds, seed=trial)
-            for r in range(2):
-                for f in range(folds):
-                    fold_labels = labels[plan.test_indices(r, f)]
-                    for k, c in enumerate(counts):
-                        got = int(np.sum(fold_labels == k))
-                        assert abs(got - c / folds) <= 1
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda folds: st.tuples(
+                st.just(folds),
+                st.lists(st.integers(folds, 40), min_size=2, max_size=6),
+                st.integers(1, 3),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    def test_fold_plan_property(self, case):
+        # in every repeat: the test folds partition the samples, each fold's
+        # train rows are the rest, and each class's count differs by at most
+        # one between folds
+        folds, counts, repeats, seed = case
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        plan = make_fold_plan(labels, repeats=repeats, folds=folds, seed=seed)
+        n = len(labels)
+        for r in range(repeats):
+            tests = [plan.test_indices(r, f) for f in range(folds)]
+            assert sorted(np.concatenate(tests).tolist()) == list(range(n))
+            for f, test in enumerate(tests):
+                train = plan.train_indices(r, f, n)
+                assert set(train.tolist()).isdisjoint(test.tolist())
+                assert len(train) + len(test) == n
+            per_fold = np.array([np.bincount(labels[t], minlength=len(counts)) for t in tests])
+            assert (per_fold.max(axis=0) - per_fold.min(axis=0) <= 1).all()
 
     def test_train_test_disjoint(self):
         labels = np.repeat(np.arange(2), 10)

@@ -810,3 +810,138 @@ class TestChildStateReuse:
         assert all(built == r for r, built in log.searched)
         # the class trees of one round still share their states
         assert len(log.searched) > len(log.built) - 12
+
+
+# ---------------------------------------------------------------------------
+# the screened regression search against the exact gain on every column
+# ---------------------------------------------------------------------------
+
+
+def _search(builder, state, cells):
+    """`builder._best_split(state)` with the screen cutoff at `cells`:
+    0 screens every search, a huge cutoff none."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):  # 1e160 overflows
+        mp.setattr(learners, "_SCREEN_CELLS", cells)
+        split = builder._best_split(state)
+    if split is None:
+        return None
+    feat, thr, gain, n_left, in_left = split
+    return feat, thr.hex(), gain.hex(), n_left, in_left.tobytes()
+
+
+_WEIGHT_LEVELS = np.array([0.0, 1e-300, 1e-150, 1e-12, 1.0, 1e6])
+
+
+def _reordered_copies(rng, x, copies):
+    """Columns that cut the rows as x does at its median, each side in a
+    new random order: at that cut their sums are the same sums taken in
+    other orders, so their gains differ by rounding alone."""
+    low = x <= np.median(x)
+    return np.column_stack(
+        [np.where(low, rng.uniform(0, 1, len(x)), rng.uniform(2, 3, len(x))) for _ in range(copies)]
+    )
+
+
+@st.composite
+def _screen_case(draw):
+    """A regression node with near-tied columns: exact duplicates (equal
+    screen scores), reordered copies of column 0's median cut, coarsened
+    copies and few-valued columns; targets at scales from 1e-12 to 1e160
+    (where w * y * y overflows) and weights from 0 and 1e-300 to 1e6."""
+    n, F = draw(st.integers(4, 60)), draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, F))
+    for j, kind in enumerate(rng.integers(0, 5, F)):
+        if kind == 1:
+            X[:, j] = rng.integers(0, 3, n)
+        elif kind == 2 and j:
+            X[:, j] = X[:, rng.integers(j)]
+        elif kind == 3 and j:
+            X[:, j] = np.floor(2 * X[:, rng.integers(j)])
+        elif kind == 4 and j:
+            X[:, j] = _reordered_copies(rng, X[:, 0], 1)[:, 0]
+    target = draw(st.sampled_from(["step", "residual", "few-valued"]))
+    if target == "step":  # column 0's cut, on an offset
+        y = (X[:, 0] > np.median(X[:, 0])) + 0.3 * rng.normal(size=n)
+        y += draw(st.sampled_from([0.0, 1e3]))
+    elif target == "residual":
+        y = rng.uniform(-1, 1, n)
+    else:
+        y = rng.integers(-1, 2, n).astype(float)
+    y *= draw(st.sampled_from([1.0, 1e-6, 1e-12, 1e160]))
+    weights = draw(st.sampled_from(["ones", "exponential", "levels"]))
+    w = np.ones(n) if weights == "ones" else rng.exponential(size=n)
+    if weights == "levels":
+        w = _WEIGHT_LEVELS[rng.integers(0, len(_WEIGHT_LEVELS), n)]
+        w[rng.integers(n)] = 1.0  # not all zero
+    min_leaf = draw(st.integers(1, 3))
+    rows = None
+    if draw(st.booleans()):  # a node below the root
+        rows = np.sort(rng.choice(n, size=draw(st.integers(2, n)), replace=False))
+    return X, y, w, min_leaf, rows
+
+
+class TestScreenedSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(_screen_case())
+    def test_screened_search_matches_the_exact_one(self, case):
+        X, y, w, min_leaf, rows = case
+        state = _SplitState.of_rows(X, w, rows, min_leaf)
+        with np.errstate(over="ignore"):
+            builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=min_leaf), root=state)
+        assert _search(builder, state, 0) == _search(builder, state, 10**18)
+
+    def test_same_cut_summed_in_other_orders(self):
+        # the near-ties the bound is there for, at fixed seeds so that every
+        # run meets some: ten reordered copies of the cut that wins
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 61))
+            X = rng.normal(size=(n, 20))
+            X[:, 1:11] = _reordered_copies(rng, X[:, 0], 10)
+            y = 1e3 + (X[:, 0] > np.median(X[:, 0])) + 0.3 * rng.normal(size=n)
+            w = rng.exponential(size=n)
+            state = _SplitState.of_rows(X, w, None, 1)
+            builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=1), root=state)
+            assert _search(builder, state, 0) == _search(builder, state, 10**18), seed
+
+    def test_screen_keeps_only_a_clear_winner(self, rng):
+        # column 7 alone separates the targets, so the bound settles the
+        # search on it; with no mask on the screen, the last position's
+        # 0 / 0 would make the bound NaN and the search fall back
+        X = rng.normal(size=(50, 300))
+        y = np.where(X[:, 7] > 0, 1.0, -1.0) + 0.01 * rng.normal(size=50)
+        w = rng.exponential(size=50)
+        state = _SplitState.of_rows(X, w, None, 2)
+        builder = _TreeBuilder(X, y, w, TreeParams(), root=state)
+        SL = builder.wy.take(state.S).cumsum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert builder._screen(state, SL).tolist() == [7]
+        assert _search(builder, state, 0) == _search(builder, state, 10**18)
+        assert _search(builder, state, 0)[0] == 7
+
+    def test_fit_gbm_above_the_cutoff_matches_reference_and_oracle(self, monkeypatch):
+        # a 60 x 200 root is above the cutoff, unforced; duplicated and
+        # rounded columns tie, and late rounds leave small residuals
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(size=(60, 200)), 1)
+        X[:, 100:150] = X[:, :50]
+        y = rng.integers(0, 3, 60)
+        w = rng.exponential(size=60)
+        params = GbmParams(n_rounds=4, max_depth=3)
+        assert X.size >= learners._SCREEN_CELLS
+        kept = []
+        screen = _TreeBuilder._screen
+
+        def recorded_screen(builder, state, SL):
+            out = screen(builder, state, SL)
+            kept.append((len(state.S), None if out is None else len(out)))
+            return out
+
+        monkeypatch.setattr(_TreeBuilder, "_screen", recorded_screen)
+        model = fit_gbm(X, y, w, params)
+        monkeypatch.undo()
+        assert len(kept) >= 12  # every root search: 4 rounds x 3 classes
+        assert all(k is not None and k < cols for cols, k in kept)
+        assert_same_gbm(model, reference_fit_gbm(X, y, w, params), X)
+        assert_same_gbm(model, oracle_fit_gbm(X, y, w, params), X)

@@ -5,7 +5,7 @@ every reported number where it was."""
 import hashlib
 import json
 
-from latefuse import integrators, preprocess
+from latefuse import integrators, learners, preprocess
 from latefuse.cli import main
 
 KINDS = ("CONCAT", "ENS-H", "ENS-S", "ML", "ADA-H", "ADA-S", "ADA-M", "PBMV", "MOE-COMBN")
@@ -96,6 +96,32 @@ IMPUTE_CONFIG = {
 # sha256 of report.json for IMPUTE_CONFIG, recorded while every row took the
 # per-row search over all training rows.
 IMPUTE_SHA256 = "78d292c69cac18a828899e6491a7a870c242bf977ae52df69bda840aa9e35b4f"
+
+
+# 40 training rows per fold by 800 columns (CONCAT) or 420 (ENS-S) put
+# the GBM roots and most of their children above the split search's screen
+# cutoff; Q is weakly separated, so late rounds have near-tied columns.
+SCREEN_CONFIG = {
+    "seed": 13,
+    "output_dir": "out",
+    "synth": {
+        "n_samples": 80,
+        "n_classes": 3,
+        "modalities": [
+            {"name": "P", "n_features": 420, "n_informative": 12, "separation": 1.5},
+            {"name": "Q", "n_features": 380, "n_informative": 8, "separation": 0.8},
+        ],
+    },
+    "folds": {"repeats": 1, "folds": 2},
+    "methods": [
+        {"kind": "CONCAT", "base": {"n_rounds": 10, "max_depth": 2}},
+        {"kind": "ENS-S", "base": {"n_rounds": 6, "max_depth": 2}},
+    ],
+}
+
+# sha256 of report.json for SCREEN_CONFIG, recorded while every regression
+# split search scored every column exactly.
+SCREEN_SHA256 = "9241d2d1c86e06d43d52002dd8929b40537a126209d5c0c1675be497837d7d30"
 
 
 # `latefuse incremental` on three modalities, one with missing cells: the
@@ -203,6 +229,24 @@ def test_imputation_report_bytes_unchanged(tmp_path, monkeypatch):
     assert len(screened) == 8
     assert sum(n for n, _ in screened) == 232
     assert all(left == 0 for _, left in screened)
+
+
+def test_screened_split_search_report_bytes_unchanged(tmp_path, monkeypatch):
+    screened = []
+    screen = learners._TreeBuilder._screen
+
+    def recorded_screen(builder, state, SL):
+        kept = screen(builder, state, SL)
+        screened.append((len(state.S), None if kept is None else len(kept)))
+        return kept
+
+    monkeypatch.setattr(learners._TreeBuilder, "_screen", recorded_screen)
+    _run(tmp_path, monkeypatch, SCREEN_CONFIG)
+    _assert_digest(tmp_path, SCREEN_SHA256)
+    # 276 searches over 380, 420 or 800 columns reach the cutoff, and the
+    # bound settles each on fewer columns than it has
+    assert len(screened) == 276
+    assert all(kept is not None and kept < cols for cols, kept in screened)
 
 
 def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
