@@ -8,9 +8,11 @@ immutable; fold plans are fully reproducible from their seed.
 from __future__ import annotations
 
 import csv
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -164,34 +166,36 @@ class FoldPlan:
                 yield r, f
 
 
-def _read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+@contextmanager
+def _csv_rows(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
+    """The header and an iterator over the non-empty rows of a CSV file,
+    read one row at a time while the file is open."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    return header, rows
+        yield header, (row for row in reader if row)
 
 
 def load_labels(labels_file: str | Path) -> tuple[list[str], list[str]]:
     """Read a labels CSV (columns sample_id,class) preserving file order."""
-    header, rows = _read_csv_rows(labels_file)
-    if len(header) < 2:
-        raise DataError(f"{labels_file}: labels file needs columns sample_id,class")
     sample_ids: list[str] = []
     classes: list[str] = []
     seen: set[str] = set()
-    for row in rows:
-        if len(row) < 2:
-            raise DataError(f"{labels_file}: short row {row!r}")
-        sid, cls = row[0].strip(), row[1].strip()
-        if sid in seen:
-            raise DataError(f"{labels_file}: duplicate sample id {sid!r}")
-        seen.add(sid)
-        sample_ids.append(sid)
-        classes.append(cls)
+    with _csv_rows(labels_file) as (header, rows):
+        if len(header) < 2:
+            raise DataError(f"{labels_file}: labels file needs columns sample_id,class")
+        for row in rows:
+            if len(row) < 2:
+                raise DataError(f"{labels_file}: short row {row!r}")
+            sid, cls = row[0].strip(), row[1].strip()
+            if sid in seen:
+                raise DataError(f"{labels_file}: duplicate sample id {sid!r}")
+            seen.add(sid)
+            sample_ids.append(sid)
+            classes.append(cls)
     return sample_ids, classes
 
 
@@ -200,30 +204,36 @@ def load_modality_table(
     path: str | Path,
     missing_tokens: Iterable[str] = DEFAULT_MISSING_TOKENS,
 ) -> ModalityTable:
-    """Read one modality CSV: first column sample_id, remaining columns numeric."""
+    """Read one modality CSV: first column sample_id, remaining columns numeric.
+
+    Each row is parsed as the reader yields it and appended to one growing
+    float64 buffer, so the file's strings are never held at once."""
     tokens = frozenset(missing_tokens)
-    header, rows = _read_csv_rows(path)
-    feature_names = [h.strip() for h in header[1:]]
-    if len(set(feature_names)) != len(feature_names):
-        raise DataError(f"{path}: duplicate feature name within modality {name!r}")
     sample_ids: list[str] = []
     seen: set[str] = set()
-    values = np.empty((len(rows), len(feature_names)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        sid = row[0].strip()
-        if sid in seen:
-            raise DataError(f"{path}: duplicate sample id {sid!r}")
-        seen.add(sid)
-        sample_ids.append(sid)
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {sid!r} has {len(row)} cells, expected {len(header)}")
-        cells = [token.strip() for token in row[1:]]
-        try:
-            values[i] = [np.nan if token in tokens else float(token) for token in cells]
-        except ValueError:
-            j, token = next((j, t) for j, t in enumerate(cells) if not _parses(t, tokens))
-            where = f"{path}:{sid}:{feature_names[j]}"
-            raise DataError(f"{where}: unparseable cell {token!r}") from None
+    flat = array("d")  # the values, row after row
+    with _csv_rows(path) as (header, rows):
+        feature_names = [h.strip() for h in header[1:]]
+        if len(set(feature_names)) != len(feature_names):
+            raise DataError(f"{path}: duplicate feature name within modality {name!r}")
+        for row in rows:
+            sid = row[0].strip()
+            if sid in seen:
+                raise DataError(f"{path}: duplicate sample id {sid!r}")
+            seen.add(sid)
+            sample_ids.append(sid)
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {sid!r} has {len(row)} cells, expected {len(header)}"
+                )
+            cells = [token.strip() for token in row[1:]]
+            try:
+                flat.fromlist([np.nan if token in tokens else float(token) for token in cells])
+            except ValueError:
+                j, token = next((j, t) for j, t in enumerate(cells) if not _parses(t, tokens))
+                where = f"{path}:{sid}:{feature_names[j]}"
+                raise DataError(f"{where}: unparseable cell {token!r}") from None
+    values = np.frombuffer(flat, dtype=np.float64).reshape(len(sample_ids), len(feature_names))
     return ModalityTable(name, sample_ids, feature_names, values)
 
 

@@ -87,74 +87,114 @@ def _pairwise_complete_correlation(values: np.ndarray) -> np.ndarray:
     """Pearson correlation matrix over pairwise-complete observations.
 
     Pairs with fewer than 3 shared observations or zero variance get r = 0.
+    Each F x F step writes into one of five F x F arrays, in the order and
+    with the operations of cov / sqrt(var_i * var_j).
     """
     mask = (~np.isnan(values)).astype(np.float64)
     x = np.where(np.isnan(values), 0.0, values)
     n = mask.T @ mask
     sx = x.T @ mask
-    sxx = (x * x).T @ mask
-    sxy = x.T @ x
+    var = (x * x).T @ mask  # sxx, then var_i
+    r = x.T @ x  # sxy, then cov, then r
+    del mask, x
+    step = np.empty_like(r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cov = sxy - sx * sx.T / n
-        var_i = sxx - sx * sx / n
-        var_j = var_i.T
-        r = cov / np.sqrt(var_i * var_j)
+        np.multiply(sx, sx.T, out=step)
+        step /= n
+        r -= step  # cov = sxy - sx * sx.T / n
+        np.multiply(sx, sx, out=step)
+        step /= n
+        var -= step  # var_i = sxx - sx * sx / n
+        del sx
+        np.multiply(var, var.T, out=step)  # var_j = var_i.T
+        np.sqrt(step, out=step)
+        r /= step
     r[~np.isfinite(r)] = 0.0
     r[n < 3] = 0.0
     np.clip(r, -1.0, 1.0, out=r)
     return r
 
 
-def _dense_high_correlation(values: np.ndarray, threshold: float) -> np.ndarray | None:
-    """`|r| > threshold` for a table with no missing cell, from one Gram
-    product of centred unit-norm columns; None where it could disagree with
+# columns per block of correlation rows, so that pruning holds F x B, not F x F
+_PRUNE_BLOCK = 128
+
+
+def _lower_abs(r: np.ndarray, a: int) -> np.ndarray:
+    """Rows j = a, a+1, ... of a correlation matrix (columns i from 0) made
+    |r| in place, with 0 at every i >= j, which the greedy pass never reads."""
+    np.abs(r, out=r)
+    rows = len(r)
+    r[:, a : a + rows][np.triu_indices(rows)] = 0.0
+    return r
+
+
+def _greedy_pass(high: np.ndarray, a: int, keep: np.ndarray) -> None:
+    """The greedy pass over columns a, a+1, ...: column a + l is dropped when
+    some kept column before it has high[l, i] set. high is False on and
+    above the diagonal, so a column with no high partner before it is
+    never visited."""
+    for l in np.flatnonzero(high.any(axis=1)):
+        j = a + l
+        if high[l, :j][keep[:j]].any():
+            keep[j] = False
+
+
+def _dense_keep(values: np.ndarray, threshold: float) -> np.ndarray | None:
+    """The greedy pass's kept columns for a table with no missing cell, from
+    Gram products of centred unit-norm columns, one block of _PRUNE_BLOCK
+    rows of |r| at a time; None where a comparison could disagree with
     `_pairwise_complete_correlation`.
 
     The pairwise formula subtracts uncentred sums, so its r is off by up to
     about n * eps * kappa, where kappa = sum(x^2) / sum(xc^2) is a column's
     conditioning. With tol = 64 * n * eps, the comparison is left to that
     formula when n < 3, when some column is near-constant
-    (sum(xc^2) <= tol * sum(x^2)), or when some |r| lies within
-    tol * max(kappa) of the threshold.
+    (sum(xc^2) <= tol * sum(x^2)), or when some |r| of a pair the greedy
+    pass reads (i < j) lies within tol * max(kappa) of the threshold. A
+    block with such a pair sends the whole table to the formula, even after
+    earlier blocks have been decided.
     """
-    n = len(values)
+    n, f = values.shape
     if n < 3 or not np.isfinite(values).all():
         return None
     tol = 64 * n * np.finfo(np.float64).eps
-    xc = values - values.mean(axis=0)
-    centred = np.einsum("ij,ij->j", xc, xc)
+    z = values - values.mean(axis=0)
+    centred = np.einsum("ij,ij->j", z, z)
     raw = np.einsum("ij,ij->j", values, values)
     if (centred <= tol * raw).any():
         return None
-    z = xc / np.sqrt(centred)
-    r = z.T @ z
-    np.abs(r, out=r)
-    np.fill_diagonal(r, 0.0)  # the greedy pass never compares a column with itself
+    z /= np.sqrt(centred)
     margin = tol * float((raw / centred).max())
-    high = r > threshold + margin
-    if (high != (r > threshold - margin)).any():
-        return None
-    return high
+    keep = np.ones(f, dtype=bool)
+    for a in range(0, f, _PRUNE_BLOCK):
+        b = min(a + _PRUNE_BLOCK, f)
+        r = _lower_abs(z[:, a:b].T @ z[:, :b], a)
+        high = r > threshold + margin
+        if (high != (r > threshold - margin)).any():
+            return None
+        _greedy_pass(high, a, keep)
+    return keep
 
 
 def prune_correlated(table: ModalityTable, cfg: PreprocessConfig) -> ModalityTable:
     """Greedy pass in column order: drop the later column of each highly
     correlated pair (|pairwise-complete Pearson r| > threshold).
 
-    A table with no missing cell takes the dense `_dense_high_correlation`
-    path, which keeps the same columns."""
+    A table with no missing cell takes the dense `_dense_keep` path, which
+    keeps the same columns while holding F x _PRUNE_BLOCK correlations at a
+    time. Other tables get the F x F pairwise-complete matrix, whose rows go
+    through the same greedy pass in blocks."""
     f = table.n_features
     if f < 2:
         return table
     threshold = cfg.correlation_threshold
-    high = _dense_high_correlation(table.values, threshold)
-    if high is None:
-        high = np.abs(_pairwise_complete_correlation(table.values)) > threshold
-    keep = np.ones(f, dtype=bool)
-    # a column with no high partner before it is always kept
-    for j in np.flatnonzero(np.tril(high, -1).any(axis=1)):
-        if high[j, :j][keep[:j]].any():
-            keep[j] = False
+    keep = _dense_keep(table.values, threshold)
+    if keep is None:
+        r = _pairwise_complete_correlation(table.values)
+        keep = np.ones(f, dtype=bool)
+        for a in range(0, f, _PRUNE_BLOCK):
+            b = min(a + _PRUNE_BLOCK, f)
+            _greedy_pass(_lower_abs(r[a:b, :b], a) > threshold, a, keep)
     return table.take_columns(np.flatnonzero(keep))
 
 
@@ -468,6 +508,27 @@ def fit_preprocessor(
 # ---------------------------------------------------------------------------
 
 
+# float64 cells in one block of SMOTE's row differences: 1 MiB
+_SMOTE_BLOCK_CELLS = 1 << 17
+
+
+def _squared_distances(pts: np.ndarray) -> np.ndarray:
+    """Every squared Euclidean distance between rows of pts, from blocks of
+    (rows, columns, F) differences of at most _SMOTE_BLOCK_CELLS cells (one
+    row pair's F cells when F is larger). Each entry is summed along one
+    contiguous row of F squares, so its bits do not depend on the block."""
+    m, f = pts.shape
+    cols = min(m, max(1, _SMOTE_BLOCK_CELLS // max(f, 1)))
+    rows = max(1, _SMOTE_BLOCK_CELLS // max(f * cols, 1))
+    d2 = np.empty((m, m))
+    for s in range(0, m, rows):
+        for t in range(0, m, cols):
+            diff = pts[s : s + rows, None, :] - pts[None, t : t + cols, :]
+            np.square(diff, out=diff)
+            d2[s : s + rows, t : t + cols] = diff.sum(axis=2)
+    return d2
+
+
 def _smote_plan(
     y: np.ndarray,
     reference: np.ndarray,
@@ -477,7 +538,9 @@ def _smote_plan(
     """Choose (base row, neighbor row, interpolation coefficient, class) for
     every synthetic sample, one minority class at a time against the majority.
 
-    Neighbors are same-class nearest rows in the reference feature space.
+    Neighbors are same-class nearest rows in the reference feature space;
+    a class of m rows holds its m x m squared distances and at most 1 MiB of
+    row differences (`_squared_distances`), never an (m, m, F) array.
     Returns the four as aligned arrays, one entry per synthetic sample.
     """
     classes, counts = np.unique(y, return_counts=True)
@@ -493,8 +556,7 @@ def _smote_plan(
             continue
         if len(members) < 2:
             raise PreprocessError("SMOTE requires >=2 samples per class")
-        pts = reference[members]
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        d2 = _squared_distances(reference[members])
         np.fill_diagonal(d2, np.inf)
         kk = min(k, len(members) - 1)
         neighbor_lists = np.argsort(d2, axis=1, kind="stable")[:, :kk]

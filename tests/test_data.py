@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,29 @@ class TestLoadDataset:
         assert realigned.sample_ids == ds.sample_ids
         for a, b in zip(realigned.modalities, ds.modalities):
             np.testing.assert_array_equal(a.values, b.values)
+
+    def test_empty_rows_skipped_and_header_only_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("sample_id,a,b\n\nA,1,2\n\n\nB,3,NA\n", encoding="utf-8")
+        table = load_modality_table("m", path)
+        assert table.sample_ids == ["A", "B"]
+        np.testing.assert_array_equal(table.values, [[1.0, 2.0], [3.0, np.nan]])
+        table.values[0, 0] = 5.0  # the loaded values are an ordinary writable array
+        path.write_text("sample_id,a,b\n", encoding="utf-8")
+        assert load_modality_table("m", path).values.shape == (0, 2)
+
+    def test_rows_are_parsed_as_they_are_read(self, tmp_path):
+        # holding every row's strings would take several times the values
+        rows = [[f"S{i}"] + [f"{v:.6f}" for v in np.linspace(i, i + 1, 3000)] for i in range(40)]
+        path = write_csv(tmp_path / "m.csv", ["sample_id"] + [f"f{j}" for j in range(3000)], rows)
+        tracemalloc.start()
+        try:
+            table = load_modality_table("m", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.values.shape == (40, 3000)
+        assert peak < 3 * table.values.nbytes
 
 
 class TestFoldPlan:

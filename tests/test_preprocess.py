@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latefuse import preprocess
+from latefuse.integrators import IntegratorSpec, fit_integrator
+from latefuse.learners import GbmParams
 from latefuse.preprocess import (
     PreprocessConfig,
     PreprocessError,
@@ -11,6 +15,7 @@ from latefuse.preprocess import (
     fit_preprocessor,
     impute_knn,
     _pairwise_complete_correlation,
+    _smote_plan,
     _train_scale,
     normalize,
     prepare_fold,
@@ -99,6 +104,47 @@ def reference_prune_correlated(table, cfg):
     return table.take_columns(np.flatnonzero(keep))
 
 
+def reference_pairwise_complete_correlation(values):
+    """`_pairwise_complete_correlation` as it was before it wrote its F x F
+    steps into preallocated arrays, kept as the bit-exact oracle."""
+    mask = (~np.isnan(values)).astype(np.float64)
+    x = np.where(np.isnan(values), 0.0, values)
+    n = mask.T @ mask
+    sx = x.T @ mask
+    sxx = (x * x).T @ mask
+    sxy = x.T @ x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cov = sxy - sx * sx.T / n
+        var_i = sxx - sx * sx / n
+        var_j = var_i.T
+        r = cov / np.sqrt(var_i * var_j)
+    r[~np.isfinite(r)] = 0.0
+    r[n < 3] = 0.0
+    np.clip(r, -1.0, 1.0, out=r)
+    return r
+
+
+class TestPairwiseCompleteCorrelation:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        n_features=st.integers(1, 30),
+        rate=st.sampled_from([0.0, 0.1, 0.4, 0.9]),
+        offsets=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_reference(self, n, n_features, rate, offsets, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, n_features)) * 10.0 ** rng.uniform(-6, 6, n_features)
+        if offsets:
+            values += rng.choice([-1.0, 1.0], n_features) * 10.0 ** rng.uniform(0, 6, n_features)
+        values[:, rng.uniform(size=n_features) < 0.1] = 3.0  # constant columns
+        values[:, rng.uniform(size=n_features) < 0.1] *= 0.0  # signed zeros
+        values[rng.uniform(size=values.shape) < rate] = np.nan
+        out = _pairwise_complete_correlation(values)
+        assert out.tobytes() == reference_pairwise_complete_correlation(values).tobytes()
+
+
 WELL_CONDITIONED = ("normal", "scaled", "rounded", "duplicate", "negated")
 COLUMN_KINDS = WELL_CONDITIONED + ("offset", "constant", "near_constant")
 
@@ -125,6 +171,17 @@ def _column(kind, cols, n, threshold, offsets, rng):
     return x
 
 
+def _prune_table(n, kinds, threshold, well_conditioned, rng):
+    """One column of each kind; a well-conditioned table draws normal
+    columns for the kinds that send the dense path to the pairwise formula."""
+    cols: list = []
+    for kind in kinds:
+        if well_conditioned and kind not in WELL_CONDITIONED:
+            kind = "normal"
+        cols.append(_column(kind, cols, n, threshold, not well_conditioned, rng))
+    return make_table(values=np.column_stack(cols))
+
+
 class TestPruneCorrelatedDensePath:
     """A table with no missing cell gets |r| from one Gram product and keeps
     exactly the columns the pairwise-complete formula keeps."""
@@ -141,17 +198,55 @@ class TestPruneCorrelatedDensePath:
         # well-conditioned tables mostly take the dense path; the others
         # mix in columns that send it back to the pairwise formula
         rng = np.random.default_rng(seed)
-        cols: list = []
-        for kind in kinds:
-            if well_conditioned and kind not in WELL_CONDITIONED:
-                kind = "normal"
-            cols.append(_column(kind, cols, n, threshold, not well_conditioned, rng))
-        table = make_table(values=np.column_stack(cols))
+        table = _prune_table(n, kinds, threshold, well_conditioned, rng)
         cfg = PreprocessConfig(correlation_threshold=threshold)
         assert (
             prune_correlated(table, cfg).feature_names
             == reference_prune_correlated(table, cfg).feature_names
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        block=st.integers(1, 7),
+        n=st.integers(2, 60),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=2, max_size=24),
+        threshold=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
+        well_conditioned=st.booleans(),
+        missing=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_keeps_the_reference_columns_across_blocks(
+        self, block, n, kinds, threshold, well_conditioned, missing, seed
+    ):
+        # blocks of 1-7 rows of |r|, so that the greedy pass crosses block
+        # edges on both paths; a missing cell sends the table to the
+        # pairwise formula
+        rng = np.random.default_rng(seed)
+        table = _prune_table(n, kinds, threshold, well_conditioned, rng)
+        if missing:
+            table.values[rng.uniform(size=table.values.shape) < 0.05] = np.nan
+        cfg = PreprocessConfig(correlation_threshold=threshold)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(preprocess, "_PRUNE_BLOCK", block)
+            out = prune_correlated(table, cfg)
+        assert out.feature_names == reference_prune_correlated(table, cfg).feature_names
+
+    def test_table_wider_than_a_block(self, rng, monkeypatch):
+        # copies and negated copies of columns in the first block, placed on
+        # both sides of later block edges
+        block = preprocess._PRUNE_BLOCK
+        values = rng.normal(size=(50, 3 * block + 40))
+        for src, dst, sign in [(3, block - 1, 1.0), (3, block, -1.0), (5, 2 * block - 1, 2.0),
+                               (block + 2, 2 * block, -0.5), (7, 3 * block + 1, 1.0)]:
+            values[:, dst] = sign * values[:, src] + 0.01 * rng.normal(size=50)
+        values[:, 2 * block + 1] = values[:, 2 * block] + 0.01 * rng.normal(size=50)
+        table = make_table(values=values)
+        expected = reference_prune_correlated(table, CFG).feature_names
+        calls = self._count_pairwise(monkeypatch)
+        out = prune_correlated(table, CFG)
+        assert calls == []
+        assert out.feature_names == expected
+        assert out.n_features == values.shape[1] - 6
 
     def _count_pairwise(self, monkeypatch):
         calls = []
@@ -195,6 +290,27 @@ class TestPruneCorrelatedDensePath:
         calls = self._count_pairwise(monkeypatch)
         out = prune_correlated(table, cfg)
         assert calls == [(40, 3)]
+        assert out.feature_names == reference_prune_correlated(table, cfg).feature_names
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_near_threshold_pair_in_a_later_block_uses_pairwise_formula(
+        self, rng, monkeypatch, offset
+    ):
+        # as above, with the pair's later column past the first block, whose
+        # columns were already decided when the pair is reached
+        block = preprocess._PRUNE_BLOCK
+        values = rng.normal(size=(40, block + 3))
+        x = values[:, 2]
+        y = x + 0.5 * rng.normal(size=40)
+        values[:, block + 1] = y
+        values += offset
+        exact = abs(np.corrcoef(x, y)[0, 1])
+        pairwise = abs(_pairwise_complete_correlation(values)[block + 1, 2])
+        cfg = PreprocessConfig(correlation_threshold=float((exact + pairwise) / 2))
+        table = make_table(values=values)
+        calls = self._count_pairwise(monkeypatch)
+        out = prune_correlated(table, cfg)
+        assert calls == [values.shape]
         assert out.feature_names == reference_prune_correlated(table, cfg).feature_names
 
     @pytest.mark.parametrize("level,spread", [(5.0, 1e-12), (0.0, 0.0), (0.1, 0.0)])
@@ -622,6 +738,133 @@ class TestSmote:
                         if np.allclose(minority[i] + u * ab, row, atol=1e-9):
                             found = True
             assert found
+
+
+def reference_smote_plan(y, reference, k, rng):
+    """`_smote_plan` as it was when it broadcast every class's (m, m, F)
+    differences at once, kept as the exact oracle."""
+    classes, counts = np.unique(y, return_counts=True)
+    majority = int(counts.max())
+    base: list[int] = []
+    neighbor: list[int] = []
+    u: list[float] = []
+    labels: list[int] = []
+    for cls in classes:
+        members = np.flatnonzero(y == cls)
+        deficit = majority - len(members)
+        if deficit == 0:
+            continue
+        if len(members) < 2:
+            raise PreprocessError("SMOTE requires >=2 samples per class")
+        pts = reference[members]
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        kk = min(k, len(members) - 1)
+        neighbor_lists = np.argsort(d2, axis=1, kind="stable")[:, :kk]
+        for _ in range(deficit):
+            b = int(rng.integers(len(members)))
+            nb = int(neighbor_lists[b, int(rng.integers(kk))])
+            base.append(int(members[b]))
+            neighbor.append(int(members[nb]))
+            u.append(float(rng.uniform()))
+            labels.append(int(cls))
+    return (
+        np.array(base, dtype=np.intp),
+        np.array(neighbor, dtype=np.intp),
+        np.array(u, dtype=np.float64),
+        np.array(labels, dtype=np.intp),
+    )
+
+
+def assert_same_plan(y, reference, k, seed):
+    plan = _smote_plan(y, reference, k, np.random.default_rng(seed))
+    expected = reference_smote_plan(y, reference, k, np.random.default_rng(seed))
+    for got, want in zip(plan, expected, strict=True):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSmotePlan:
+    """Squared distances come from blocks of row differences and give the
+    plan of the (m, m, F) broadcast, array for array."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        block=st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 17]),
+        sizes=st.lists(st.integers(2, 25), min_size=2, max_size=4),
+        n_features=st.integers(1, 12),
+        duplicates=st.floats(0.0, 0.6),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_plan_as_reference(self, block, sizes, n_features, duplicates, k, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        x = rng.normal(size=(len(y), n_features)) * 10.0 ** rng.uniform(-3, 3, n_features)
+        # copied rows tie at distance 0, and the stable argsort orders the ties
+        copied = rng.uniform(size=len(y)) < duplicates
+        x[copied] = x[rng.integers(len(y), size=int(copied.sum()))]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(preprocess, "_SMOTE_BLOCK_CELLS", block)
+            for cls in range(len(sizes)):
+                pts = x[y == cls]
+                expected = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+                assert preprocess._squared_distances(pts).tobytes() == expected.tobytes()
+            assert_same_plan(y, x, k, seed)
+
+    @pytest.mark.parametrize("m,n_features", [(2, 1), (2, 6), (7, 1)])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 17])
+    def test_two_rows_or_one_feature(self, rng, monkeypatch, m, n_features, block):
+        monkeypatch.setattr(preprocess, "_SMOTE_BLOCK_CELLS", block)
+        y = np.array([0] * (m + 4) + [1] * m)
+        assert_same_plan(y, rng.normal(size=(len(y), n_features)), 5, 11)
+
+    def test_moe_one_vs_rest_plans(self, rng, monkeypatch):
+        # MOE balances each class against the rest before fitting its expert
+        monkeypatch.setattr(preprocess, "_SMOTE_BLOCK_CELLS", 7)
+        calls = []
+        plan = preprocess._smote_plan
+
+        def checked(y, reference, k, plan_rng):
+            state = plan_rng.bit_generator.state
+            out = plan(y, reference, k, plan_rng)
+            expected_rng = np.random.default_rng()
+            expected_rng.bit_generator.state = state
+            for got, want in zip(out, reference_smote_plan(y, reference, k, expected_rng)):
+                assert got.tobytes() == want.tobytes()
+            calls.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(preprocess, "_smote_plan", checked)
+        y = np.array([0] * 14 + [1] * 9 + [2] * 5)
+        tables = [make_table("A", rng.normal(size=(28, 6))),
+                  make_table("B", rng.normal(size=(28, 3)))]
+        spec = IntegratorSpec(kind="MOE-COMBN", base=GbmParams(n_rounds=2, max_depth=1))
+        fit_integrator(tables, y, spec, 3, seed=4)
+        assert calls == [0, 10, 18]  # the rest's count minus the class's, per class
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """tracemalloc sees numpy's buffers; these bounds fail for the F x F and
+    (m, m, F) temporaries that pruning and SMOTE no longer build."""
+
+    def test_dense_pruning_holds_blocks_not_f_by_f(self, rng):
+        table = make_table(values=rng.normal(size=(60, 3000)))
+        assert _traced_peak_mb(lambda: prune_correlated(table, CFG)) < 24.0
+
+    def test_smote_plan_holds_no_cubic_difference(self, rng):
+        reference = rng.normal(size=(410, 400))
+        y = np.array([0] * 210 + [1] * 200)
+        assert _traced_peak_mb(lambda: _smote_plan(y, reference, 5, rng)) < 8.0
 
 
 class TestFittedPreprocessor:

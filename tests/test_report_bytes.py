@@ -190,7 +190,7 @@ def test_incremental_output_bytes_unchanged(tmp_path, monkeypatch, capsys):
 
 def test_pruning_report_bytes_unchanged(tmp_path, monkeypatch):
     pruned, dense = [], []
-    prune, dense_high = preprocess.prune_correlated, preprocess._dense_high_correlation
+    prune, dense_keep = preprocess.prune_correlated, preprocess._dense_keep
 
     def recorded_prune(table, cfg):
         out = prune(table, cfg)
@@ -198,12 +198,12 @@ def test_pruning_report_bytes_unchanged(tmp_path, monkeypatch):
         return out
 
     def recorded_dense(values, threshold):
-        high = dense_high(values, threshold)
-        dense.append(high is not None)
-        return high
+        keep = dense_keep(values, threshold)
+        dense.append(keep is not None)
+        return keep
 
     monkeypatch.setattr(preprocess, "prune_correlated", recorded_prune)
-    monkeypatch.setattr(preprocess, "_dense_high_correlation", recorded_dense)
+    monkeypatch.setattr(preprocess, "_dense_keep", recorded_dense)
     _run(tmp_path, monkeypatch, PRUNE_CONFIG)
     _assert_digest(tmp_path, PRUNE_SHA256)
     # one fit per modality and fold, in modality order
