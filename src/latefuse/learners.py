@@ -22,12 +22,14 @@ C-contiguous row per candidate column holds the node's rows in that
 column's stable sort order, their weight cumsum and where a threshold may
 fall, and a search gathers each weighted target once per cumsum. The GBM
 does each piece of tree work once: the class trees of a round share their
-root's state; a child's state, which depends only on the root and the
+root's state; and a child's state, which depends only on the root and the
 node's path of (feature, n_left, side) steps, is kept by that path and
 reused by the trees of the same round and the next one (older states are
-dropped, and a subsampled fit drops them with each new root); and the
-builder returns every training row's leaf, routed by the same
-x <= threshold rule as `DecisionTree.apply`, so fitting walks no tree.
+dropped, and a subsampled fit drops them with each new root). The builder
+returns every training row's leaf, routed by the same x <= threshold rule
+as `DecisionTree.apply`, so fitting walks no tree: the GBM takes its leaf
+steps, and `fit_tree` and the forest their leaf means, by `bincount` over
+those leaves.
 A regression search over a state of at least `_SCREEN_CELLS` cells (rows
 x columns) first screens its columns: from one cumsum of w * y it scores
 every position by SL^2/WL + SR^2/WR, which equals the exact gain plus the
@@ -266,14 +268,15 @@ class _TreeBuilder:
     O(n * n_features) per level. Only a child that can still split gets the
     partition of every column; a leaf needs at most its first column.
 
-    `build()` gives a tree with node values (fit_tree, forests).
-    `build_leaves()` is fit_gbm's: it takes the root's `_SplitState` from the
-    caller, computes no node values, and instead routes every row of X to its
-    leaf by the rule of `DecisionTree.apply`, x <= threshold. It may also
-    take `states`, a mapping from a node's path, its (feature, n_left, side)
-    steps from that root, to the node's `_SplitState` over every column.
-    Given the root, the path fixes the node's rows, so a state found there is
-    used without partitioning, and each state built is stored there.
+    `build()` is the one entry point. It returns the tree, every node's
+    value 0 for the caller to set, and the leaf of every row of X, routed by
+    the rule of `DecisionTree.apply`, x <= threshold. It sorts the root's
+    columns itself unless the caller gives the root's `_SplitState`, as
+    fit_gbm does. It may also take `states`, a mapping from a node's path,
+    its (feature, n_left, side) steps from that root, to the node's
+    `_SplitState` over every column. Given the root, the path fixes the
+    node's rows, so a state found there is used without partitioning, and
+    each state built is stored there.
     """
 
     def __init__(
@@ -293,61 +296,38 @@ class _TreeBuilder:
         self.rng = rng
         self.root = root
         self.states = states
-        self.leaf_of: Optional[np.ndarray] = None
         if params.task == "classification":
             self.y_onehot = one_hot(y, params.n_classes)
             # row k: w * onehot[:, k], gathered once per split search
-            self.w_onehot = np.ascontiguousarray((w[:, None] * self.y_onehot).T)
+            self.w_targets = np.ascontiguousarray((w[:, None] * self.y_onehot).T)
         else:
-            self.wy = w * y
-            self.wyy = self.wy * y
+            self.w_targets = (w * y)[None, :]
+            self.wyy = self.w_targets[0] * y
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.values: list = []
         self.importance = np.zeros(X.shape[1], dtype=np.float64)
         self.all_cols = np.arange(X.shape[1], dtype=np.intp)
 
-    def build(self) -> DecisionTree:
-        sorted_root = np.argsort(self.X.T, axis=1, kind="stable")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._grow(sorted_root, None, sorted_root.shape[1], 0, None, ())
-        return self._tree(np.array(self.values, dtype=np.float64))  # (nodes,) or (nodes, K)
-
-    def build_leaves(self) -> tuple[DecisionTree, np.ndarray]:
-        """The tree without node values, and the leaf of every row of X."""
+    def build(self) -> tuple[DecisionTree, np.ndarray]:
+        S = np.argsort(self.X.T, axis=1, kind="stable") if self.root is None else self.root.S
         self.leaf_of = np.empty(len(self.X), dtype=np.intp)
-        S = self.root.S
         with np.errstate(divide="ignore", invalid="ignore"):
             self._grow(S, None, S.shape[1], 0, np.arange(len(self.X)), ())
-        return self._tree(np.zeros(0)), self.leaf_of
-
-    def _tree(self, leaf_values) -> DecisionTree:
-        return DecisionTree(
-            feature=np.array(self.feature, dtype=np.intp),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.intp),
-            right=np.array(self.right, dtype=np.intp),
-            leaf_values=leaf_values,
-            raw_importance=self.importance,
-            n_features=self.X.shape[1],
-            task=self.params.task,
+        return (
+            DecisionTree(
+                feature=np.array(self.feature, dtype=np.intp),
+                threshold=np.array(self.threshold, dtype=np.float64),
+                left=np.array(self.left, dtype=np.intp),
+                right=np.array(self.right, dtype=np.intp),
+                leaf_values=np.zeros(len(self.feature)),
+                raw_importance=self.importance,
+                n_features=self.X.shape[1],
+                task=self.params.task,
+            ),
+            self.leaf_of,
         )
-
-    def _node_value(self, idx):
-        w = self.w[idx]
-        total = w.sum()
-        if self.params.task == "regression":
-            if total > 0:
-                return float(np.dot(w, self.y[idx]) / total)
-            return float(np.mean(self.y[idx]))
-        counts = self.y_onehot[idx]
-        if total > 0:
-            freq = (w[:, None] * counts).sum(axis=0) / total
-        else:
-            freq = counts.mean(axis=0)
-        return freq
 
     def _impurity(self, idx) -> float:
         """Weighted SSE (regression) or weighted Gini mass (classification)."""
@@ -363,37 +343,33 @@ class _TreeBuilder:
         s = (w[:, None] * self.y_onehot[idx]).sum(axis=0)
         return float(total - np.dot(s, s) / total)
 
-    def _add_node(self, feat: int, thr: float, idx) -> int:
+    def _add_node(self, feat: int, thr: float) -> int:
         node_id = len(self.feature)
         self.feature.append(feat)
         self.threshold.append(thr)
         self.left.append(-1)
         self.right.append(-1)
-        if self.leaf_of is None:
-            self.values.append(self._node_value(idx))
         return node_id
 
-    def _add_leaf(self, idx, route) -> int:
-        node_id = self._add_node(-1, 0.0, idx)
-        if self.leaf_of is not None:
-            self.leaf_of[route] = node_id
+    def _add_leaf(self, route) -> int:
+        node_id = self._add_node(-1, 0.0)
+        self.leaf_of[route] = node_id
         return node_id
 
     def _grow(self, sorted_idx, member, size: int, depth: int, route, path: tuple) -> int:
         """Grow the node whose `size` rows are those of `sorted_idx` (row j:
         rows in column j's sorted order) that `member` marks, or all of them
         when `member` is None. `route` holds the rows of X that reach the
-        node by the x <= threshold rule (build_leaves only), and `path` is
-        the node's (feature, n_left, side) steps from the root."""
+        node by the x <= threshold rule, and `path` is the node's
+        (feature, n_left, side) steps from the root."""
         params = self.params
-        can_split = depth < params.max_depth and size >= 2 * params.min_leaf
-        idx = None
-        if can_split or self.leaf_of is None:
-            idx = sorted_idx[0]
-            if member is not None:
-                idx = idx[member[idx]]
-        if not can_split or self._impurity(idx) <= _GAIN_TOL:
-            return self._add_leaf(idx, route)
+        if depth >= params.max_depth or size < 2 * params.min_leaf:
+            return self._add_leaf(route)
+        idx = sorted_idx[0]
+        if member is not None:
+            idx = idx[member[idx]]
+        if self._impurity(idx) <= _GAIN_TOL:
+            return self._add_leaf(route)
 
         if depth == 0 and self.root is not None:
             state = self.root
@@ -410,15 +386,13 @@ class _TreeBuilder:
                 self.states[path] = state
         split = self._best_split(state)
         if split is None:
-            return self._add_leaf(idx, route)
+            return self._add_leaf(route)
         feat, thr, gain, n_left, in_left = split
 
-        node_id = self._add_node(feat, thr, idx)
+        node_id = self._add_node(feat, thr)
         self.importance[feat] += max(gain, 0.0)
-        route_left = route_right = None
-        if route is not None:
-            go_left = self.X[route, feat] <= thr
-            route_left, route_right = route[go_left], route[~go_left]
+        go_left = self.X[route, feat] <= thr
+        route_left, route_right = route[go_left], route[~go_left]
         self.left[node_id] = self._grow(
             sorted_idx, in_left, n_left, depth + 1, route_left, path + ((feat, n_left, 0),)
         )
@@ -452,7 +426,7 @@ class _TreeBuilder:
         total_w = cw[:, -1:]
 
         if self.params.task == "regression":
-            cwy = self.wy.take(S)
+            cwy = self.w_targets[0].take(S)
             cwy.cumsum(axis=1, out=cwy)
             kept = self._screen(state, cwy) if S.size >= _SCREEN_CELLS else None
             if kept is not None:  # the exact gain on the kept rows only
@@ -479,7 +453,7 @@ class _TreeBuilder:
             sum_sq_l = np.zeros_like(cw)
             sum_sq_r = np.zeros_like(cw)
             parent_sq = np.zeros(len(S), dtype=np.float64)
-            for w_k in self.w_onehot:
+            for w_k in self.w_targets:
                 skl = w_k.take(S)
                 skl.cumsum(axis=1, out=skl)
                 skr = skl[:, -1:] - skl
@@ -584,7 +558,24 @@ def fit_tree(
     X, w, y, K = _fit_inputs(X, y, sample_weight, params.n_classes, labels)
     if params.max_features is not None and rng is None:
         rng = np.random.default_rng(0)
-    return _TreeBuilder(X, y, w, replace(params, n_classes=K), rng).build()
+    return _fit_cart(X, y, w, replace(params, n_classes=K), rng)
+
+
+def _fit_cart(X, y, w, params: TreeParams, rng) -> DecisionTree:
+    """A tree from checked input whose leaves hold the weighted mean of the
+    targets (a class-frequency row for classification) over the rows of X
+    routed there, summed in row order; a leaf that no weight reaches, and
+    every inner node, holds 0."""
+    builder = _TreeBuilder(X, y, w, params, rng)
+    tree, leaf = builder.build()
+    n = tree.n_nodes
+    total = np.bincount(leaf, w, minlength=n)
+    sums = np.column_stack([np.bincount(leaf, t, minlength=n) for t in builder.w_targets])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = sums / total[:, None]
+    values[total <= 0] = 0.0
+    tree.leaf_values = values[:, 0] if params.task == "regression" else values
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +719,7 @@ def fit_gbm(
         round_trees = []
         for k in range(K):
             r = residual[:, k]
-            tree, leaf = _TreeBuilder(X, r, w, tree_params, root=root, states=states).build_leaves()
+            tree, leaf = _TreeBuilder(X, r, w, tree_params, root=root, states=states).build()
             # leaf sums over the fitted rows, added in their order
             leaf_fit, r_fit, w_fit = leaf[rows], r[rows], w[rows]
             num = np.bincount(leaf_fit, w_fit * r_fit, minlength=tree.n_nodes)
@@ -828,7 +819,7 @@ def fit_random_forest(
     for i in range(params.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        tree = _TreeBuilder(X[rows], y[rows], w[rows], tree_params, rng).build()
+        tree = _fit_cart(X[rows], y[rows], w[rows], tree_params, rng)
         importance += tree.raw_importance
         trees.append(tree)
     total = importance.sum()

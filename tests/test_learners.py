@@ -367,8 +367,8 @@ def test_gbm_residual_is_the_negative_log_loss_gradient(monkeypatch):
 
 def reference_fit_gbm(X, y, sample_weight=None, params=GbmParams(), seed=0, n_classes=None):
     """fit_gbm as it was before the root state was shared: every class tree
-    sorts its own rows and computes node values, then `apply` finds each
-    fitted row's leaf and `predict` walks every row again for the scores."""
+    is a `fit_tree` on the round's rows, then `apply` finds each fitted
+    row's leaf and `predict` walks every row again for the scores."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     w = np.ones(len(y)) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
@@ -394,7 +394,11 @@ def reference_fit_gbm(X, y, sample_weight=None, params=GbmParams(), seed=0, n_cl
         round_trees = []
         for k in range(K):
             r_sub, w_sub = residual[rows, k], w[rows]
-            tree = _TreeBuilder(X_round, r_sub, w_sub, tree_params).build()
+            if w_sub.sum() > 0:
+                tree = fit_tree(X_round, r_sub, w_sub, tree_params)
+            else:  # fit_tree rejects all-zero weights; fit_gbm grows one leaf
+                one = np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1])
+                tree = DecisionTree(*one, None, np.zeros(X.shape[1]), X.shape[1], "regression")
             leaves_sub = tree.apply(X_round)
             num, den = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
             np.add.at(num, leaves_sub, w_sub * r_sub)
@@ -494,7 +498,7 @@ class TestGbmExactness:
         w = np.ones(2)
         root = _SplitState.of_rows(X, w, None, 1)
         params = TreeParams(max_depth=1, min_leaf=1)
-        tree, leaves = _TreeBuilder(X, np.array([0.0, 1.0]), w, params, root=root).build_leaves()
+        tree, leaves = _TreeBuilder(X, np.array([0.0, 1.0]), w, params, root=root).build()
         assert tree.feature[0] == 0 and tree.threshold[0] == 1.0
         np.testing.assert_array_equal(leaves, tree.apply(X))
         np.testing.assert_array_equal(leaves, [1, 1])
@@ -502,6 +506,26 @@ class TestGbmExactness:
         for subsample in (1.0, 0.5):
             p = GbmParams(n_rounds=3, max_depth=2, min_leaf=1, subsample=subsample)
             assert_same_gbm(fit_gbm(X, y, params=p), reference_fit_gbm(X, y, params=p), X)
+
+    def test_forest_leaf_values_come_from_the_rows_routed_there(self):
+        # the same midpoint: both rows walk to the left leaf, which holds
+        # their class frequencies, and the right leaf, which no row
+        # reaches, holds 0, not the frequencies of the row sorted there
+        X = np.array([[1 - 2**-53], [1.0]])
+        y = np.array([0, 1])
+        forest = fit_random_forest(
+            X, y,
+            RandomForestParams(n_trees=1, max_depth=1, bootstrap=False, max_features=None),
+        )
+        (tree,) = forest.trees
+        assert tree.threshold[0] == 1.0
+        np.testing.assert_array_equal(tree.leaf_values, [[0, 0], [0.5, 0.5], [0, 0]])
+        np.testing.assert_array_equal(
+            forest.predict_proba(np.array([[0.0], [1.0], [2.0]])).probabilities,
+            [[0.5, 0.5], [0.5, 0.5], [0, 0]],
+        )
+        params = TreeParams(max_depth=1, min_leaf=1, task="classification", n_classes=2)
+        np.testing.assert_array_equal(oracle_tree(X, y, None, params).leaf_values, tree.leaf_values)
 
     def test_multi_root_apply_matches_per_tree_walks(self, rng):
         X = np.round(rng.normal(size=(40, 5)), 1)
@@ -567,7 +591,10 @@ def oracle_tree(X, y, w, params, rng=None):
     order, as a stable partition of the stably sorted root keeps them), and
     scans 1-D cumsums of the sorted weights and weighted targets with the
     same gain formula. The left child takes the rows sorted at or below the
-    chosen position; nodes are numbered in pre-order."""
+    chosen position; nodes are numbered in pre-order. Leaf values are
+    weighted means over the rows `reference_walk` routes to each leaf, added
+    one row at a time in row order; inner nodes, and a leaf that no weight
+    reaches, hold 0."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     w = np.ones(len(y)) if w is None else np.asarray(w, dtype=np.float64)
@@ -581,20 +608,18 @@ def oracle_tree(X, y, w, params, rng=None):
         rng = np.random.default_rng(0)
     nodes, importance = [], np.zeros(F)
 
-    def node_stats(idx):
-        """(impurity, value) of the rows idx, taken in column 0's order."""
+    def impurity(idx):
+        """Of the rows idx, taken in column 0's order."""
         wi = w[idx]
         total = wi.sum()
-        if classification:
-            counts = onehot[idx]
-            s = (wi[:, None] * counts).sum(axis=0)
-            impurity = float(total - np.dot(s, s) / total) if total > 0 else 0.0
-            return impurity, s / total if total > 0 else counts.mean(axis=0)
-        yi = y[idx]
         if total <= 0:
-            return 0.0, float(np.mean(yi))
+            return 0.0
+        if classification:
+            s = (wi[:, None] * onehot[idx]).sum(axis=0)
+            return float(total - np.dot(s, s) / total)
+        yi = y[idx]
         s, q = np.dot(wi, yi), np.dot(wi, yi**2)
-        return float(q - s * s / total), float(s / total)
+        return float(q - s * s / total)
 
     def column_gain(order, j):
         xs, ws = X[order, j], w[order]
@@ -625,10 +650,10 @@ def oracle_tree(X, y, w, params, rng=None):
 
     def grow(rows, depth):
         node = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, None])
-        idx = rows[np.argsort(X[rows, 0], kind="stable")]
-        impurity, nodes[node][4] = node_stats(idx)
-        if depth >= params.max_depth or len(rows) < 2 * params.min_leaf or impurity <= 1e-12:
+        nodes.append([-1, 0.0, -1, -1])
+        if depth >= params.max_depth or len(rows) < 2 * params.min_leaf:
+            return node
+        if impurity(rows[np.argsort(X[rows, 0], kind="stable")]) <= 1e-12:
             return node
         k = params.max_features
         cands = range(F) if k is None or k >= F else np.sort(rng.choice(F, size=k, replace=False))
@@ -651,33 +676,32 @@ def oracle_tree(X, y, w, params, rng=None):
 
     with np.errstate(divide="ignore", invalid="ignore"):
         grow(np.arange(n), 0)
-    feature, threshold, left, right, values = zip(*nodes)
-    return DecisionTree(
+    feature, threshold, left, right = zip(*nodes)
+    tree = DecisionTree(
         feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left, dtype=np.intp),
         right=np.array(right, dtype=np.intp),
-        leaf_values=np.array(values, dtype=np.float64),
+        leaf_values=None,
         raw_importance=importance,
         n_features=F,
         task=params.task,
     )
-
-
-class _OracleBuilder:
-    """`_TreeBuilder(X, y, w, params).build()`, grown by `oracle_tree`."""
-
-    def __init__(self, X, y, w, params):
-        self.args = X, y, w, params
-
-    def build(self):
-        return oracle_tree(*self.args)
+    targets = onehot if classification else y[:, None]
+    sums, total = np.zeros((len(nodes), targets.shape[1])), np.zeros(len(nodes))
+    for i, leaf in enumerate(reference_walk(tree, X)):
+        sums[leaf] += w[i] * targets[i]
+        total[leaf] += w[i]
+    reached = total > 0
+    sums[reached] /= total[reached, None]
+    tree.leaf_values = sums if classification else sums[:, 0]
+    return tree
 
 
 def oracle_fit_gbm(*args, **kwargs):
     """`reference_fit_gbm` with every tree grown by `oracle_tree`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys.modules[__name__], "_TreeBuilder", _OracleBuilder)
+        mp.setattr(sys.modules[__name__], "fit_tree", oracle_tree)
         return reference_fit_gbm(*args, **kwargs)
 
 
@@ -743,7 +767,7 @@ class _StateLog:
 
     def __init__(self, monkeypatch, K):
         self.builds, self.built, self.held, self.searched = 0, [], [], []
-        init, build_leaves = _SplitState.__init__, _TreeBuilder.build_leaves
+        init, build = _SplitState.__init__, _TreeBuilder.build
         best_split = _TreeBuilder._best_split
         log = self
 
@@ -754,7 +778,7 @@ class _StateLog:
 
         def logged_build(builder):
             log.held.append((log.builds // K, [s.used for s in builder.states.values()]))
-            tree_and_leaves = build_leaves(builder)
+            tree_and_leaves = build(builder)
             log.builds += 1
             return tree_and_leaves
 
@@ -765,7 +789,7 @@ class _StateLog:
             return best_split(builder, state)
 
         monkeypatch.setattr(_SplitState, "__init__", tagged_init)
-        monkeypatch.setattr(_TreeBuilder, "build_leaves", logged_build)
+        monkeypatch.setattr(_TreeBuilder, "build", logged_build)
         monkeypatch.setattr(_TreeBuilder, "_best_split", logged_search)
 
 
@@ -914,7 +938,7 @@ class TestScreenedSplitSearch:
         w = rng.exponential(size=50)
         state = _SplitState.of_rows(X, w, None, 2)
         builder = _TreeBuilder(X, y, w, TreeParams(), root=state)
-        SL = builder.wy.take(state.S).cumsum(axis=1)
+        SL = builder.w_targets[0].take(state.S).cumsum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             assert builder._screen(state, SL).tolist() == [7]
         assert _search(builder, state, 0) == _search(builder, state, 10**18)
