@@ -20,26 +20,22 @@ Split search is exact and has one implementation, `_TreeBuilder`, shared by
 `fit_tree`, the forest and the GBM. Its `_SplitState` is feature-major: one
 C-contiguous row per candidate column holds the node's rows in that
 column's stable sort order, their weight cumsum and where a threshold may
-fall, and a search gathers each weighted target once per cumsum. The GBM
-does each piece of tree work once: the class trees of a round share their
-root's state; and a child's state, which depends only on the root and the
-node's path of (feature, n_left, side) steps, is kept by that path and
-reused by the trees of the same round and the next one (older states are
-dropped, and a subsampled fit drops them with each new root). The builder
-returns every training row's leaf, routed by the same x <= threshold rule
-as `DecisionTree.apply`, so fitting walks no tree: the GBM takes its leaf
+fall. One kernel scores every valid position of both tasks: over weighted
+targets t (w * y for regression, w * onehot_k for each class k of a Gini
+tree), gain = sum_t (SL_t^2/WL + SR_t^2/WR - S_t^2/W), from one gather and
+one cumsum per target. This is the node's impurity minus both sides', as
+the weighted SSE (Chen & Guestrin, KDD 2016, eq. 7) or the Gini decrease of
+CART; where two candidates' gains differ by rounding alone, it may pick
+another split than the textbook difference would. The GBM does each piece of
+tree work once: the class trees of a round share their root's state; and a
+child's state, which depends only on the root and the node's path of
+(feature, n_left, side) steps, is kept by that path and reused by the trees
+of the same round and the next one (older states are dropped, and a
+subsampled fit drops them with each new root). The builder returns every
+training row's leaf, routed by the same x <= threshold rule as
+`DecisionTree.apply`, so fitting walks no tree: the GBM takes its leaf
 steps, and `fit_tree` and the forest their leaf means, by `bincount` over
 those leaves.
-A regression search over a state of at least `_SCREEN_CELLS` cells (rows
-x columns) first screens its columns: from one cumsum of w * y it scores
-every position by SL^2/WL + SR^2/WR, which equals the exact gain plus the
-node's constant SY^2/W up to a rounding bound E = 8 eps (sum(w * y^2) +
-SY^2/W + the largest score) that no summation order changes. Only the
-columns whose best score is within 2E of the best column's get the exact
-gain (the node's impurity minus both sides', which adds the cumsum of
-w * y^2), in one batched call over those rows, so the tree is the one the
-exact search on every column grows. A smaller state, or a search whose E
-is not finite, takes the exact gain on every column.
 A forest checks its input once and hands each tree's rows to the builder.
 `DecisionTree.apply` is the only tree walker and takes several roots. The
 GBM and the forest predict through one path, `_TreeEnsemble`: the model
@@ -59,13 +55,6 @@ from typing import Optional
 import numpy as np
 
 _GAIN_TOL = 1e-12
-_EPS = np.finfo(np.float64).eps
-_TINY = np.finfo(np.float64).smallest_subnormal
-# A regression split search over at least this many state cells (rows x
-# columns) screens its columns first. On smaller states the screen costs
-# more than the exact gain on every column: searches replayed from GBM fits
-# on a 2-vCPU x86 host broke even at 6,000-8,000 cells.
-_SCREEN_CELLS = 10_000
 
 
 class LearnerError(Exception):
@@ -145,13 +134,25 @@ class TreeParams:
     n_classes: Optional[int] = None
     max_features: Optional[int] = None  # per-split feature subsampling (forests)
 
+    def __post_init__(self) -> None:
+        if self.max_depth < 1:
+            raise LearnerError("max_depth: must be >= 1")
+        if self.min_leaf < 1:
+            raise LearnerError("min_leaf: must be >= 1")
+        if self.task not in ("regression", "classification"):
+            raise LearnerError(f"task: must be 'regression' or 'classification', got {self.task!r}")
+        if self.max_features is not None and self.max_features < 1:
+            raise LearnerError("max_features: must be >= 1 or None")
+
 
 @dataclass
 class DecisionTree:
     """Flat-array binary tree. feature[i] == -1 marks a leaf.
 
-    Rows with x[feature] <= threshold go left. leaf_values holds a scalar per
-    node for regression and a class-frequency row for classification.
+    Rows with x[feature] <= threshold go left. leaf_values holds a value
+    per node, set on leaves only (inner nodes hold 0): a scalar for
+    regression and a class-frequency row for classification, or a GBM's
+    damped step.
     """
 
     feature: np.ndarray
@@ -261,7 +262,9 @@ class _SplitState:
 class _TreeBuilder:
     """Recursive greedy CART builder over a dense matrix, taking input that
     `_fit_inputs` has checked (for classification: intp labels, and
-    `params.n_classes` set).
+    `params.n_classes` set). `w_targets` holds one row per weighted target,
+    w * y for regression and w * onehot_k for each class k: `_best_split`
+    scores every split from its rows, and `_fit_cart` sums them per leaf.
 
     Columns are sorted once at the root; a child inherits its sorted order by
     a stable mask partition instead of re-sorting, which keeps split search
@@ -302,7 +305,6 @@ class _TreeBuilder:
             self.w_targets = np.ascontiguousarray((w[:, None] * self.y_onehot).T)
         else:
             self.w_targets = (w * y)[None, :]
-            self.wyy = self.w_targets[0] * y
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -415,105 +417,45 @@ class _TreeBuilder:
         valid position (lowest threshold) and column (lowest feature index),
         as (feature, threshold, gain, n_left, in_left), or None.
 
-        A regression search over at least `_SCREEN_CELLS` state cells first
-        narrows its columns with `_screen`, a bounded screen from one cumsum;
-        the exact gain, the same operations as on every column, is then
-        computed on the kept columns only, in ascending order, so its first
-        maximum is the one a search over every column finds. Smaller states,
-        where the screen costs more than it saves, and searches the bound
-        cannot settle take the exact gain on every column."""
-        S, cw, cols, invalid = state.S, state.cw, state.cols, state.invalid
-        total_w = cw[:, -1:]
-
-        if self.params.task == "regression":
-            cwy = self.w_targets[0].take(S)
-            cwy.cumsum(axis=1, out=cwy)
-            kept = self._screen(state, cwy) if S.size >= _SCREEN_CELLS else None
-            if kept is not None:  # the exact gain on the kept rows only
-                S, cw, cols, invalid, cwy = (a[kept] for a in (S, cw, cols, invalid, cwy))
-                total_w = cw[:, -1:]
-            cwyy = self.wyy.take(S)
-            cwyy.cumsum(axis=1, out=cwyy)
-            total_y, total_yy = cwy[:, -1:], cwyy[:, -1:]
-            parent = total_yy[:, 0] - total_y[:, 0] ** 2 / total_w[:, 0]
-            # child = (QL - SL * SL / WL) + (QR - SR * SR / WR), in place,
-            # where SL, QL and WL are cwy, cwyy and cw
-            child = total_w - cw  # WR
-            SR = total_y - cwy
+        One kernel scores both tasks: over the rows of `w_targets`, gain =
+        sum_t SL_t^2 / WL + sum_t SR_t^2 / WR - sum_t S_t^2 / W, with SL_t
+        the cumsum of target t along a column's sorted rows, SR_t = S_t - SL_t
+        and S_t that cumsum's end. This is the parent's impurity minus both
+        children's: QL + QR is the node's total Q = sum(w * y^2) for
+        regression, and WL + WR = W for Gini."""
+        S, cw = state.S, state.cw
+        sq_l = sq_r = None  # sum_t SL_t^2, sum_t SR_t^2: the first target's arrays, no zero fill
+        for t in self.w_targets:
+            SL = t.take(S)
+            SL.cumsum(axis=1, out=SL)
+            SR = SL[:, -1:] - SL
             SR *= SR
-            SR /= child
-            np.subtract(total_yy, cwyy, out=child)  # QR
-            child -= SR
-            cwy *= cwy
-            cwy /= cw
-            cwyy -= cwy
-            child += cwyy
-        else:
-            # per-class cumulative weighted counts; K is small so loop classes
-            sum_sq_l = np.zeros_like(cw)
-            sum_sq_r = np.zeros_like(cw)
-            parent_sq = np.zeros(len(S), dtype=np.float64)
-            for w_k in self.w_targets:
-                skl = w_k.take(S)
-                skl.cumsum(axis=1, out=skl)
-                skr = skl[:, -1:] - skl
-                parent_sq += skl[:, -1] ** 2
-                sum_sq_l += skl * skl
-                sum_sq_r += skr * skr
-            WR = total_w - cw
-            child = (cw - sum_sq_l / cw) + (WR - sum_sq_r / WR)
-            parent = total_w[:, 0] - parent_sq / total_w[:, 0]
-
-        gain = np.subtract(parent[:, None], child, out=child)
+            SL *= SL
+            if sq_l is None:
+                sq_l, sq_r = SL, SR
+            else:
+                sq_l += SL
+                sq_r += SR
+        sq_l /= cw  # at the last position, where SL_t = S_t: sum_t S_t^2 / W
+        sq_r /= cw[:, -1:] - cw
+        gain = sq_r
+        gain += sq_l
+        gain -= sq_l[:, -1:]
         # every position's gain, in whole rows; the last position is invalid
-        np.putmask(gain, invalid, -np.inf)
+        np.putmask(gain, state.invalid, -np.inf)
         best_pos = gain.argmax(axis=1)  # first max -> lowest threshold
         best_gain = gain[self.all_cols[: len(S)], best_pos]
         if not np.isfinite(best_gain).any():
             return None
         j = int(best_gain.argmax())  # first max -> lowest feature index
         i = int(best_pos[j])
-        feat = int(cols[j])
+        feat = int(state.cols[j])
         lo, hi = self.X[S[j, i : i + 2], feat]
         thr = float((lo + hi) / 2.0)
         # left membership; children partition every column's order by it (stable)
         in_left = np.zeros(self.X.shape[0], dtype=bool)
         in_left[S[j, : i + 1]] = True
         return feat, thr, float(max(best_gain[j], 0.0)), i + 1, in_left
-
-    def _screen(self, state: _SplitState, SL):
-        """The state rows (ascending) whose best exact gain may be the
-        search's best, from the cumsum `SL` of w * y alone; None when the
-        bound cannot settle it.
-
-        QL + QR is the node's total Q = sum(w * y * y), so the exact gain is
-        T - P up to rounding, where T = SL * SL / WL + SR * SR / WR and
-        P = SY * SY / W. The screen computes T and P with the exact
-        formula's own products and quotients, so the two differ only by the
-        rounding of the exact formula's six additions and the screen's one:
-        at most 4.5 eps (Q + P + T), T the largest screened T, in any cumsum
-        order. E raises that to 8 eps, which also covers the rounding of the
-        keep test, plus an underflow term. A row is kept when its best T - P
-        is within 2E of the best row's, so every row holding the largest
-        exact gain is kept; a non-finite E (overflow, or no valid position)
-        settles nothing."""
-        cw = state.cw
-        T = SL[:, -1:] - SL
-        T *= T
-        D = cw[:, -1:] - cw  # WR
-        T /= D  # SR * SR / WR
-        np.multiply(SL, SL, out=D)
-        D /= cw  # SL * SL / WL
-        T += D
-        np.putmask(T, state.invalid, -np.inf)
-        best = T[self.all_cols[: len(T)], T.argmax(axis=1)]  # argmax: faster than max
-        P = SL[:, -1] ** 2 / cw[:, -1]  # as the exact gain's parent has it
-        Q = self.wyy.take(state.S[0]).sum()
-        E = 8 * _EPS * (Q + P.max() + best.max()) + 16 * _TINY
-        if not np.isfinite(E):
-            return None
-        score = best - P
-        return np.flatnonzero(score >= score.max() - 2 * E)
 
 
 def _fit_inputs(X, y, sample_weight=None, n_classes=None, labels=True):

@@ -236,6 +236,14 @@ class TestParams:
         with pytest.raises(LearnerError, match=f"^{next(iter(bad))}: "):
             RandomForestParams(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"max_depth": 0}, {"min_leaf": 0}, {"task": "Classification"},
+        {"max_features": 0}, {"max_features": -1},
+    ])
+    def test_tree_params_rejected(self, bad):
+        with pytest.raises(LearnerError, match=f"^{next(iter(bad))}: "):
+            TreeParams(**bad)
+
 
 # ---------------------------------------------------------------------------
 # the input contract: every fit entry rejects the same bad inputs
@@ -589,9 +597,11 @@ def oracle_tree(X, y, w, params, rng=None):
 
     Each node sorts its rows again, column by column (stably, rows in index
     order, as a stable partition of the stably sorted root keeps them), and
-    scans 1-D cumsums of the sorted weights and weighted targets with the
-    same gain formula. The left child takes the rows sorted at or below the
-    chosen position; nodes are numbered in pre-order. Leaf values are
+    scans 1-D cumsums of the sorted weights and weighted targets (w * y, or
+    w * onehot_k for each class k) with the same gain formula,
+    sum_k (SL_k^2 / WL + SR_k^2 / WR - S_k^2 / W). The left child takes the
+    rows sorted at or below the chosen position; nodes are numbered in
+    pre-order. Leaf values are
     weighted means over the rows `reference_walk` routes to each leaf, added
     one row at a time in row order; inner nodes, and a leaf that no weight
     reaches, hold 0."""
@@ -604,6 +614,7 @@ def oracle_tree(X, y, w, params, rng=None):
         K = params.n_classes if params.n_classes is not None else int(np.max(y)) + 1
         onehot = np.zeros((n, K))
         onehot[np.arange(n), y.astype(np.intp)] = 1.0
+    targets = onehot if classification else y[:, None]
     if params.max_features is not None and rng is None:
         rng = np.random.default_rng(0)
     nodes, importance = [], np.zeros(F)
@@ -626,27 +637,18 @@ def oracle_tree(X, y, w, params, rng=None):
         cw = np.cumsum(ws)
         WL = cw[:-1]
         WR = cw[-1] - WL
-        if classification:
-            sum_sq_l, sum_sq_r, parent_sq = 0.0, 0.0, 0.0
-            for k in range(K):
-                ck = np.cumsum(ws * onehot[order, k])
-                skl, skr = ck[:-1], ck[-1] - ck[:-1]
-                sum_sq_l = sum_sq_l + skl * skl
-                sum_sq_r = sum_sq_r + skr * skr
-                parent_sq += ck[-1] * ck[-1]
-            child = (WL - sum_sq_l / WL) + (WR - sum_sq_r / WR)
-            parent = cw[-1] - parent_sq / cw[-1]
-        else:
-            wy = ws * y[order]
-            cwy, cwyy = np.cumsum(wy), np.cumsum(wy * y[order])
-            SL, QL = cwy[:-1], cwyy[:-1]
-            SR, QR = cwy[-1] - SL, cwyy[-1] - QL
-            child = (QL - SL * SL / WL) + (QR - SR * SR / WR)
-            parent = cwyy[-1] - cwy[-1] * cwy[-1] / cw[-1]
+        sq_l, sq_r, sq = 0.0, 0.0, 0.0
+        for target in targets.T:
+            c = np.cumsum(ws * target[order])
+            SL, SR = c[:-1], c[-1] - c[:-1]
+            sq_l = sq_l + SL * SL
+            sq_r = sq_r + SR * SR
+            sq = sq + c[-1] * c[-1]
+        gain = sq_l / WL + sq_r / WR - sq / cw[-1]
         pos = np.arange(len(order) - 1)
         valid = (xs[:-1] < xs[1:]) & (WL > 0) & (WR > 0)
         valid &= (pos >= params.min_leaf - 1) & (pos < len(order) - params.min_leaf)
-        return np.where(valid, parent - child, -np.inf), xs
+        return np.where(valid, gain, -np.inf), xs
 
     def grow(rows, depth):
         node = len(nodes)
@@ -687,7 +689,6 @@ def oracle_tree(X, y, w, params, rng=None):
         n_features=F,
         task=params.task,
     )
-    targets = onehot if classification else y[:, None]
     sums, total = np.zeros((len(nodes), targets.shape[1])), np.zeros(len(nodes))
     for i, leaf in enumerate(reference_walk(tree, X)):
         sums[leaf] += w[i] * targets[i]
@@ -752,6 +753,19 @@ class TestIndependentSplitSearch:
         new = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
         ref = oracle_fit_gbm(X, y, w, params, seed=seed, n_classes=K)
         assert_same_gbm(new, ref, np.vstack([X, X[::-1] + 0.25]))
+
+    def test_wide_fit_gbm_matches_reference_and_oracle(self):
+        # 60 x 200 nodes; duplicated and rounded columns tie, and late
+        # rounds leave small residuals
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(size=(60, 200)), 1)
+        X[:, 100:150] = X[:, :50]
+        y = rng.integers(0, 3, 60)
+        w = rng.exponential(size=60)
+        params = GbmParams(n_rounds=4, max_depth=3)
+        model = fit_gbm(X, y, w, params)
+        assert_same_gbm(model, reference_fit_gbm(X, y, w, params), X)
+        assert_same_gbm(model, oracle_fit_gbm(X, y, w, params), X)
 
 
 # ---------------------------------------------------------------------------
@@ -837,20 +851,68 @@ class TestChildStateReuse:
 
 
 # ---------------------------------------------------------------------------
-# the screened regression search against the exact gain on every column
+# the split kernel against the textbook gain, parent minus children
 # ---------------------------------------------------------------------------
 
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
-def _search(builder, state, cells):
-    """`builder._best_split(state)` with the screen cutoff at `cells`:
-    0 screens every search, a huge cutoff none."""
-    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):  # 1e160 overflows
-        mp.setattr(learners, "_SCREEN_CELLS", cells)
+
+def textbook_gain(state, y, w, K=None):
+    """Every position's gain at `state` with the operations, in their
+    order, of the split search before the one kernel: the node's impurity
+    minus both sides', (Q - S^2/W) - ((QR - SR^2/WR) + (QL - SL^2/WL)) for
+    regression, and over K one-hot targets with Q = W for Gini; -inf where
+    no threshold may fall. Also returns the terms of the rounding bound
+    between it and the kernel: Q, the largest P = S^2/W and the largest
+    T = SL^2/WL + SR^2/WR over valid positions."""
+    S, cw = state.S, state.cw
+    W = cw[:, -1:]
+    WR = W - cw
+    if K is None:
+        wy = w * y
+        SL, QL = wy.take(S).cumsum(axis=1), (wy * y).take(S).cumsum(axis=1)
+        S_tot, Q_tot = SL[:, -1:], QL[:, -1:]
+        a, b = SL * SL / cw, (S_tot - SL) ** 2 / WR
+        P = S_tot[:, 0] ** 2 / W[:, 0]
+        gain = (Q_tot[:, 0] - P)[:, None] - (((Q_tot - QL) - b) + (QL - a))
+        Q = (wy * y).take(S[0]).sum()
+    else:
+        sq_l, sq_r, sq = np.zeros_like(cw), np.zeros_like(cw), np.zeros(len(S))
+        for k in range(K):
+            SL = (w * (y == k)).take(S).cumsum(axis=1)
+            SR = SL[:, -1:] - SL
+            sq += SL[:, -1] ** 2
+            sq_l += SL * SL
+            sq_r += SR * SR
+        a, b = sq_l / cw, sq_r / WR
+        P = sq / W[:, 0]
+        gain = (W[:, 0] - P)[:, None] - ((cw - a) + (WR - b))
+        Q = W[0, 0]
+    gain[state.invalid] = -np.inf
+    T = np.where(state.invalid, -np.inf, a + b)
+    return gain, Q, P.max(), T.max()
+
+
+def assert_within_bound_of_the_textbook_best(X, y, w, min_leaf, rows=None, K=None):
+    """The split `_best_split` picks has a textbook gain within
+    E = 8 eps (Q + P + T) + 16 tiny of the best textbook gain: the kernel and
+    the textbook formula share SL^2/WL, SR^2/WR and S^2/W bit for bit and
+    differ only in the rounding of their additions, at most 3.5 eps
+    (Q + P + T) at each position, whatever the cumsum order."""
+    state = _SplitState.of_rows(X, w, rows, min_leaf)
+    task = "regression" if K is None else "classification"
+    builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=min_leaf, task=task, n_classes=K))
+    with np.errstate(divide="ignore", invalid="ignore"):
         split = builder._best_split(state)
+        gain, Q, P, T = textbook_gain(state, y, w, K)
     if split is None:
-        return None
-    feat, thr, gain, n_left, in_left = split
-    return feat, thr.hex(), gain.hex(), n_left, in_left.tobytes()
+        assert not np.isfinite(gain).any()
+        return
+    feat, _, _, n_left, _ = split
+    E = 8 * _EPS * (Q + P + T) + 16 * _TINY
+    assert np.isfinite(E)
+    assert gain[feat, n_left - 1] >= gain.max() - E
 
 
 _WEIGHT_LEVELS = np.array([0.0, 1e-300, 1e-150, 1e-12, 1.0, 1e6])
@@ -867,11 +929,12 @@ def _reordered_copies(rng, x, copies):
 
 
 @st.composite
-def _screen_case(draw):
-    """A regression node with near-tied columns: exact duplicates (equal
-    screen scores), reordered copies of column 0's median cut, coarsened
-    copies and few-valued columns; targets at scales from 1e-12 to 1e160
-    (where w * y * y overflows) and weights from 0 and 1e-300 to 1e6."""
+def _split_case(draw):
+    """A regression or Gini node with near-tied columns: exact duplicates
+    (equal scores), reordered copies of column 0's median cut, coarsened
+    copies and few-valued columns; regression targets at scales from 1e-12
+    to 1e100, where no w * y * y overflows, and weights from 0 and 1e-300
+    to 1e6."""
     n, F = draw(st.integers(4, 60)), draw(st.integers(2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.normal(size=(n, F))
@@ -884,15 +947,21 @@ def _screen_case(draw):
             X[:, j] = np.floor(2 * X[:, rng.integers(j)])
         elif kind == 4 and j:
             X[:, j] = _reordered_copies(rng, X[:, 0], 1)[:, 0]
-    target = draw(st.sampled_from(["step", "residual", "few-valued"]))
-    if target == "step":  # column 0's cut, on an offset
-        y = (X[:, 0] > np.median(X[:, 0])) + 0.3 * rng.normal(size=n)
+    step = X[:, 0] > np.median(X[:, 0])  # column 0's cut
+    target = draw(st.sampled_from(["step", "residual", "few-valued", "classes"]))
+    K = None
+    if target == "step":  # on an offset
+        y = step + 0.3 * rng.normal(size=n)
         y += draw(st.sampled_from([0.0, 1e3]))
     elif target == "residual":
         y = rng.uniform(-1, 1, n)
-    else:
+    elif target == "few-valued":
         y = rng.integers(-1, 2, n).astype(float)
-    y *= draw(st.sampled_from([1.0, 1e-6, 1e-12, 1e160]))
+    else:  # the cut's two classes, some rows relabelled at random
+        K = draw(st.integers(2, 4))
+        y = np.where(rng.random(n) < 0.3, rng.integers(0, K, n), step).astype(np.intp)
+    if K is None:
+        y *= draw(st.sampled_from([1.0, 1e-6, 1e-12, 1e100]))
     weights = draw(st.sampled_from(["ones", "exponential", "levels"]))
     w = np.ones(n) if weights == "ones" else rng.exponential(size=n)
     if weights == "levels":
@@ -902,18 +971,14 @@ def _screen_case(draw):
     rows = None
     if draw(st.booleans()):  # a node below the root
         rows = np.sort(rng.choice(n, size=draw(st.integers(2, n)), replace=False))
-    return X, y, w, min_leaf, rows
+    return X, y, w, min_leaf, rows, K
 
 
-class TestScreenedSplitSearch:
+class TestSplitKernel:
     @settings(max_examples=300, deadline=None)
-    @given(_screen_case())
-    def test_screened_search_matches_the_exact_one(self, case):
-        X, y, w, min_leaf, rows = case
-        state = _SplitState.of_rows(X, w, rows, min_leaf)
-        with np.errstate(over="ignore"):
-            builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=min_leaf), root=state)
-        assert _search(builder, state, 0) == _search(builder, state, 10**18)
+    @given(_split_case())
+    def test_chosen_split_is_within_the_bound_of_the_textbook_best(self, case):
+        assert_within_bound_of_the_textbook_best(*case)
 
     def test_same_cut_summed_in_other_orders(self):
         # the near-ties the bound is there for, at fixed seeds so that every
@@ -925,47 +990,4 @@ class TestScreenedSplitSearch:
             X[:, 1:11] = _reordered_copies(rng, X[:, 0], 10)
             y = 1e3 + (X[:, 0] > np.median(X[:, 0])) + 0.3 * rng.normal(size=n)
             w = rng.exponential(size=n)
-            state = _SplitState.of_rows(X, w, None, 1)
-            builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=1), root=state)
-            assert _search(builder, state, 0) == _search(builder, state, 10**18), seed
-
-    def test_screen_keeps_only_a_clear_winner(self, rng):
-        # column 7 alone separates the targets, so the bound settles the
-        # search on it; with no mask on the screen, the last position's
-        # 0 / 0 would make the bound NaN and the search fall back
-        X = rng.normal(size=(50, 300))
-        y = np.where(X[:, 7] > 0, 1.0, -1.0) + 0.01 * rng.normal(size=50)
-        w = rng.exponential(size=50)
-        state = _SplitState.of_rows(X, w, None, 2)
-        builder = _TreeBuilder(X, y, w, TreeParams(), root=state)
-        SL = builder.w_targets[0].take(state.S).cumsum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert builder._screen(state, SL).tolist() == [7]
-        assert _search(builder, state, 0) == _search(builder, state, 10**18)
-        assert _search(builder, state, 0)[0] == 7
-
-    def test_fit_gbm_above_the_cutoff_matches_reference_and_oracle(self, monkeypatch):
-        # a 60 x 200 root is above the cutoff, unforced; duplicated and
-        # rounded columns tie, and late rounds leave small residuals
-        rng = np.random.default_rng(11)
-        X = np.round(rng.normal(size=(60, 200)), 1)
-        X[:, 100:150] = X[:, :50]
-        y = rng.integers(0, 3, 60)
-        w = rng.exponential(size=60)
-        params = GbmParams(n_rounds=4, max_depth=3)
-        assert X.size >= learners._SCREEN_CELLS
-        kept = []
-        screen = _TreeBuilder._screen
-
-        def recorded_screen(builder, state, SL):
-            out = screen(builder, state, SL)
-            kept.append((len(state.S), None if out is None else len(out)))
-            return out
-
-        monkeypatch.setattr(_TreeBuilder, "_screen", recorded_screen)
-        model = fit_gbm(X, y, w, params)
-        monkeypatch.undo()
-        assert len(kept) >= 12  # every root search: 4 rounds x 3 classes
-        assert all(k is not None and k < cols for cols, k in kept)
-        assert_same_gbm(model, reference_fit_gbm(X, y, w, params), X)
-        assert_same_gbm(model, oracle_fit_gbm(X, y, w, params), X)
+            assert_within_bound_of_the_textbook_best(X, y, w, 1)

@@ -5,7 +5,7 @@ every reported number where it was."""
 import hashlib
 import json
 
-from latefuse import integrators, learners, preprocess
+from latefuse import integrators, preprocess
 from latefuse.cli import main
 
 KINDS = ("CONCAT", "ENS-H", "ENS-S", "ML", "ADA-H", "ADA-S", "ADA-M", "PBMV", "MOE-COMBN")
@@ -37,13 +37,14 @@ CONFIG = {
     + [{"kind": "ENS-S", "name": "ENS-S-subsample", "base": {"n_rounds": 10, "subsample": 0.5}}],
 }
 
-# sha256 of report.json for CONFIG, recorded before GBM fitting shared its
-# root state and stopped walking trees during fitting.
-EXPECTED_SHA256 = "43f515a1b011157a043802e070981c094fa00748b69837aa178e199190c1b7ba"
+# Every digest below holds for split searches that score each position by
+# one kernel, sum_t (SL_t^2/WL + SR_t^2/WR - S_t^2/W).
 
-# sha256 of records.csv for CONFIG, recorded while fold records were still
-# dataclasses copied field by field from the per-class metrics.
-RECORDS_SHA256 = "de55e806dcc5233ba80a74181d2f796f5b2b66fcfbc1ef4a8f17e1aa89217713"
+# sha256 of report.json for CONFIG.
+EXPECTED_SHA256 = "021581a40e505a39ab6cfe8a5fca00055e036d4e31c3513de9c1f43bf16e5523"
+
+# sha256 of records.csv for CONFIG.
+RECORDS_SHA256 = "1b4fa3c785bcada8772c493cca1ee2e222f1c80a60fcaf30e5818d6ff5b0f633"
 
 # Correlation pruning drops columns in both modalities: DENSE (no missing
 # cell, strongly separated informative columns that correlate above 0.9)
@@ -64,9 +65,8 @@ PRUNE_CONFIG = {
     "methods": [{"kind": "ENS-S", "base": {"n_rounds": 5, "max_depth": 2}}],
 }
 
-# sha256 of report.json for PRUNE_CONFIG, recorded while every table still
-# took the pairwise-complete correlation formula.
-PRUNE_SHA256 = "381e75b901ba0b3d4f9bc41e8e4bcc1b098f8cc4e377b6a9b99067760bdeb704"
+# sha256 of report.json for PRUNE_CONFIG.
+PRUNE_SHA256 = "48008134d751a8274f4eaa507ba1b9dc25ab5f4b650908ee50709e1af485d6a0"
 
 
 # Both modalities have missing cells in most of their 30 training rows per
@@ -93,15 +93,14 @@ IMPUTE_CONFIG = {
     ],
 }
 
-# sha256 of report.json for IMPUTE_CONFIG, recorded while every row took the
-# per-row search over all training rows.
-IMPUTE_SHA256 = "78d292c69cac18a828899e6491a7a870c242bf977ae52df69bda840aa9e35b4f"
+# sha256 of report.json for IMPUTE_CONFIG.
+IMPUTE_SHA256 = "7e7b6d417360cedd136bf8bf34b20369889833423c0713b272ecc6bd1a522de8"
 
 
-# 40 training rows per fold by 800 columns (CONCAT) or 420 (ENS-S) put
-# the GBM roots and most of their children above the split search's screen
-# cutoff; Q is weakly separated, so late rounds have near-tied columns.
-SCREEN_CONFIG = {
+# 40 training rows per fold by 800 columns (CONCAT) or 420 (ENS-S): 276 of
+# the 372 split searches run on states of 10,000 cells (rows x columns) or
+# more. Q is weakly separated, so late rounds have near-tied columns.
+WIDE_CONFIG = {
     "seed": 13,
     "output_dir": "out",
     "synth": {
@@ -119,9 +118,8 @@ SCREEN_CONFIG = {
     ],
 }
 
-# sha256 of report.json for SCREEN_CONFIG, recorded while every regression
-# split search scored every column exactly.
-SCREEN_SHA256 = "9241d2d1c86e06d43d52002dd8929b40537a126209d5c0c1675be497837d7d30"
+# sha256 of report.json for WIDE_CONFIG.
+WIDE_SHA256 = "3f2de73ed6e12f2d930baf76717bcab79cd78811594286c977fe624747b582fe"
 
 
 # `latefuse incremental` on three modalities, one with missing cells: the
@@ -147,12 +145,11 @@ INCREMENTAL_CONFIG = {
     ],
 }
 
-# sha256 of each INCREMENTAL_CONFIG output, recorded while the selector's
-# inner folds still had their own copy of the fold preparation.
+# sha256 of each INCREMENTAL_CONFIG output.
 INCREMENTAL_SHA256 = {
     "incremental_trace.csv": "e4450851c7399b1f80e2e90d6063d83bbe7499398da00a9b77d0abf3435d6dc0",
     "best_subset.json": "469f5c91e1bb5b3f08987f150366aa41ee2b96fd809fa30439fb610aa5141c86",
-    "comparison.csv": "cf2d432abd70dbba483b6885779a1471529d5880924c96b11fa3f3a7e2812290",
+    "comparison.csv": "c3e8d09253c263dbdee696a634d3e23c25fa099ab6af65d9210d46cfefa4b651",
 }
 
 
@@ -231,22 +228,9 @@ def test_imputation_report_bytes_unchanged(tmp_path, monkeypatch):
     assert all(left == 0 for _, left in screened)
 
 
-def test_screened_split_search_report_bytes_unchanged(tmp_path, monkeypatch):
-    screened = []
-    screen = learners._TreeBuilder._screen
-
-    def recorded_screen(builder, state, SL):
-        kept = screen(builder, state, SL)
-        screened.append((len(state.S), None if kept is None else len(kept)))
-        return kept
-
-    monkeypatch.setattr(learners._TreeBuilder, "_screen", recorded_screen)
-    _run(tmp_path, monkeypatch, SCREEN_CONFIG)
-    _assert_digest(tmp_path, SCREEN_SHA256)
-    # 276 searches over 380, 420 or 800 columns reach the cutoff, and the
-    # bound settles each on fewer columns than it has
-    assert len(screened) == 276
-    assert all(kept is not None and kept < cols for cols, kept in screened)
+def test_wide_split_search_report_bytes_unchanged(tmp_path, monkeypatch):
+    _run(tmp_path, monkeypatch, WIDE_CONFIG)
+    _assert_digest(tmp_path, WIDE_SHA256)
 
 
 def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
