@@ -4,7 +4,9 @@ boosting machine, and a random forest.
 All learners share the same conventions:
 
 * split search is greedy over (feature, midpoint threshold) candidates with
-  ties broken by lower feature index, then lower threshold;
+  ties broken by lower feature index, then lower threshold; where the
+  midpoint of two adjacent floats rounds onto the upper one, the threshold
+  is the lower one, so the rows go the way the search scored them;
 * per-sample weights enter both the split criterion and the leaf values, and
   every fit is invariant to uniform rescaling of the weight vector;
 * feature importance is total weighted impurity decrease per feature,
@@ -452,6 +454,8 @@ class _TreeBuilder:
         feat = int(state.cols[j])
         lo, hi = self.X[S[j, i : i + 2], feat]
         thr = float((lo + hi) / 2.0)
+        if thr >= hi:  # adjacent floats: the midpoint rounds onto hi, which must go right
+            thr = float(lo)
         # left membership; children partition every column's order by it (stable)
         in_left = np.zeros(self.X.shape[0], dtype=bool)
         in_left[S[j, : i + 1]] = True

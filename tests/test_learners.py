@@ -499,26 +499,26 @@ class TestGbmExactness:
         assert_same_gbm(new, ref, X_query)
 
     def test_midpoint_rounding_onto_upper_value(self):
-        # (a + b) / 2 rounds to b: the threshold is 1.0, so the row at 1.0
-        # walks left although the sorted partition put it on the right
+        # (a + b) / 2 rounds to b, so the threshold is a: the row at 1.0
+        # walks right, where the sorted partition scored it
         x = np.array([1 - 2**-53, 1.0])
         X = np.column_stack([x, [0.0, 1.0]])
         w = np.ones(2)
         root = _SplitState.of_rows(X, w, None, 1)
         params = TreeParams(max_depth=1, min_leaf=1)
         tree, leaves = _TreeBuilder(X, np.array([0.0, 1.0]), w, params, root=root).build()
-        assert tree.feature[0] == 0 and tree.threshold[0] == 1.0
+        assert tree.feature[0] == 0 and tree.threshold[0] == 1 - 2**-53
         np.testing.assert_array_equal(leaves, tree.apply(X))
-        np.testing.assert_array_equal(leaves, [1, 1])
+        np.testing.assert_array_equal(leaves, [1, 2])
         y = np.array([0, 1])
         for subsample in (1.0, 0.5):
             p = GbmParams(n_rounds=3, max_depth=2, min_leaf=1, subsample=subsample)
             assert_same_gbm(fit_gbm(X, y, params=p), reference_fit_gbm(X, y, params=p), X)
 
     def test_forest_leaf_values_come_from_the_rows_routed_there(self):
-        # the same midpoint: both rows walk to the left leaf, which holds
-        # their class frequencies, and the right leaf, which no row
-        # reaches, holds 0, not the frequencies of the row sorted there
+        # the same midpoint: the threshold is the lower value, so each row
+        # walks to the leaf it was scored in, and each leaf holds the class
+        # of its one row
         X = np.array([[1 - 2**-53], [1.0]])
         y = np.array([0, 1])
         forest = fit_random_forest(
@@ -526,11 +526,11 @@ class TestGbmExactness:
             RandomForestParams(n_trees=1, max_depth=1, bootstrap=False, max_features=None),
         )
         (tree,) = forest.trees
-        assert tree.threshold[0] == 1.0
-        np.testing.assert_array_equal(tree.leaf_values, [[0, 0], [0.5, 0.5], [0, 0]])
+        assert tree.threshold[0] == 1 - 2**-53
+        np.testing.assert_array_equal(tree.leaf_values, [[0, 0], [1, 0], [0, 1]])
         np.testing.assert_array_equal(
             forest.predict_proba(np.array([[0.0], [1.0], [2.0]])).probabilities,
-            [[0.5, 0.5], [0.5, 0.5], [0, 0]],
+            [[1, 0], [0, 1], [0, 1]],
         )
         params = TreeParams(max_depth=1, min_leaf=1, task="classification", n_classes=2)
         np.testing.assert_array_equal(oracle_tree(X, y, None, params).leaf_values, tree.leaf_values)
@@ -669,7 +669,8 @@ def oracle_tree(X, y, w, params, rng=None):
         if best is None:
             return node
         gain, j, i, order, xs = best
-        nodes[node][:2] = j, float((xs[i] + xs[i + 1]) / 2.0)
+        mid = float((xs[i] + xs[i + 1]) / 2.0)
+        nodes[node][:2] = j, (float(xs[i]) if mid >= xs[i + 1] else mid)
         importance[j] += float(max(gain, 0.0))
         in_left = np.isin(rows, order[: i + 1])
         nodes[node][2] = grow(rows[in_left], depth + 1)
