@@ -6,19 +6,24 @@ rather than propagating NaN, so aggregates stay defined on tiny folds.
 An abstention label (-1) never matches any class: it counts against every
 metric and is additionally reported as unknown_rate.
 
+The t-test's two-sided p-value is computed here, in floats, from the
+incomplete-beta form of the Student t tail (a continued fraction on one
+side, a positive series on the other), so that a run loads neither scipy
+nor anything else beyond numpy and the standard library. It is within 2e-13
+relative of the exact value for up to 1000 degrees of freedom.
+
 Fold and class records are plain dicts, shaped as report.json writes them.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field, asdict
 from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .data import FoldPlan, MultiModalDataset
 from .feature_selection import (
@@ -216,7 +221,10 @@ def corrected_ttest(
     n_test: float,
 ) -> TTestResult:
     """Paired t-test with the variance inflated by n_test/n_train to correct
-    for overlapping CV training sets. Two-sided p, J-1 degrees of freedom."""
+    for overlapping CV training sets (Nadeau & Bengio, 2003). Two-sided p,
+    J-1 degrees of freedom, from `_student_t_two_sided`: within 2e-13
+    relative of the exact tail for J - 1 up to 1000 and 1e-8 <= |t| <= 1e3
+    wherever p >= 1e-300."""
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if len(a) != len(b):
@@ -230,8 +238,83 @@ def corrected_ttest(
     if var == 0.0:
         return TTestResult(t=0.0, p_value=1.0 if mean == 0.0 else 0.0, degenerate=True)
     t = mean / np.sqrt((1.0 / j + n_test / n_train) * var)
-    p = 2.0 * float(stdtr(j - 1, -abs(t)))  # the survival function at |t|
-    return TTestResult(t=float(t), p_value=p)
+    return TTestResult(t=float(t), p_value=_student_t_two_sided(float(t), j - 1))
+
+
+def _student_t_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with `df` degrees of freedom: the
+    regularized incomplete beta I_x(a, 1/2) at a = df/2, x = df/(df + t^2).
+
+    x and y = t^2/(df + t^2) are each rounded once from exact rationals, and
+    x^a is corrected for the rounding of x. B(a, 1/2) is the recurrence
+    B(a + 1, 1/2) = B(a, 1/2) * a/(a + 1/2), from B(1/2, 1/2) = pi or
+    B(1, 1/2) = 2, taken as one quotient of exact integer products.
+
+    Below x = (a + 1)/(a + 5/2), I_x comes from the continued fraction of
+    Numerical Recipes 6.4 (Press et al.), by modified Lentz. Its odd steps
+    compute 1 - k*x (k near 1 once a is large) as (1 - k) + k*y from exact
+    products, because 1 - k*x cancels there: the textbook steps lose up to
+    1e-13 near that point at df ~ 700. Above it, p = 1 - I_y(1/2, a), and
+    I_y comes from its hypergeometric series, whose terms are positive and
+    shrink at least geometrically on that side.
+
+    Against 50-digit mpmath the relative error measured below 1e-14 for df
+    up to 1000 and 1e-8 <= |t| <= 1e3 (`tests/test_evaluation.py` holds it
+    to 2e-13). Where x underflows, above |t| ~ 1e154, p comes out 0."""
+    from fractions import Fraction  # loaded only by a run that makes a t-test
+
+    t = abs(t)
+    if t == 0.0:
+        return 1.0
+    if math.isnan(t):
+        return t
+    if math.isinf(t):
+        return 0.0
+    a = df / 2.0
+    t2 = Fraction(t) ** 2
+    x_exact = df / (df + t2)
+    x = float(x_exact)
+    y = float(t2 / (df + t2))  # directly: 1 - x would cancel
+    beta = (math.pi if df % 2 else 2.0) * (
+        math.prod(range(df - 2, 0, -2)) / math.prod(range(df - 1, 0, -2))
+    )
+    front = x**a * math.sqrt(y) / beta  # x^a (1 - x)^(1/2) / B(a, 1/2)
+    if front:  # undo the rounding of x in x^a (where x^a underflowed, nothing to undo)
+        front *= math.exp(a * float((x_exact - Fraction(x)) / x_exact))
+
+    if x >= (a + 1.0) / (a + 2.5):
+        # I_y(1/2, a) = 2 front * sum_n (a + 1/2)_n / (3/2)_n * y^n
+        term = total = 1.0
+        n = 0
+        while term > 1e-17 * total:
+            term *= (a + 0.5 + n) * y / (1.5 + n)
+            total += term
+            n += 1
+        return 1.0 - 2.0 * front * total
+
+    # I_x(a, 1/2) = front / a * (1 / (1 + d_1 / (1 + d_2 / (1 + ...)))), with
+    # d_2m = m (1/2 - m) x / ((a + 2m - 1)(a + 2m)) and d_2m+1 = -k x,
+    # k = (a + m)(a + 1/2 + m) / ((a + 2m)(a + 2m + 1)); d and c are Lentz's
+    # D and C after each odd step, h their running product
+    d = (a + 1.0) / (0.5 + (a + 0.5) * y)
+    c = 1.0
+    h = d
+    for m in range(1, 10_000):
+        e = m * (0.5 - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d_even = 1.0 / (1.0 + e * d)
+        c_even = 1.0 + e / c
+        num = (a + m) * (a + 0.5 + m)  # exact: multiples of 1/4 far below 2^53
+        den = (a + 2 * m) * (a + 2 * m + 1.0)
+        k, rest = num / den, (den - num) / den
+        # 1 - k x D_even and 1 - k x / C_even, with D_even - 1 and
+        # 1 - 1/C_even written through the even step's own terms
+        d = 1.0 / (rest + k * d_even * (y + e * d))
+        c = rest + k * (y + e / c) / c_even
+        delta = d_even * c_even * d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return front * h / a
+    raise EvaluationError(f"Student t tail did not converge (t={t}, df={df})")
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +473,8 @@ def run_cv_benchmark(
         (dataset, fold_plan, list(methods), preprocess_cfg, seed, r, f) for r, f in cells
     ]
     if n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # unused at n_jobs=1
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             cell_results = list(pool.map(_run_cell, args))
     else:

@@ -92,15 +92,18 @@ class TestRun:
         main(["run", "-c", str(cfg)])
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
-    def test_never_imports_scipy_stats(self, tmp_path):
-        # a fresh interpreter: this test process has scipy.stats loaded already
+    def test_never_imports_scipy(self, tmp_path):
+        # a fresh interpreter: this test process has scipy loaded already
         cfg = _write_config(tmp_path / "config.json")
         script = (
             "import sys\n"
+            "def unused():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+            "                  or m == 'concurrent.futures.process')\n"
             "import latefuse.cli\n"
-            "assert 'scipy.stats' not in sys.modules, 'import'\n"
+            "assert not unused(), ('import', unused())\n"
             f"assert latefuse.cli.main(['run', '-c', {str(cfg)!r}]) == 0\n"
-            "assert 'scipy.stats' not in sys.modules, 'run'\n"
+            "assert not unused(), ('run', unused())\n"
         )
         src = str(Path(latefuse.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -12,6 +12,7 @@ from latefuse.evaluation import (
     MetricSet,
     PerClassMetrics,
     _average_ranks,
+    _student_t_two_sided,
     auc_per_class,
     compute_metrics,
     confusion_counts,
@@ -283,13 +284,72 @@ class TestAverageRanks:
         np.testing.assert_array_equal(_average_ranks(np.full(5, 0.3)), np.full(5, 3.0))
 
 
+def _exact_two_sided_p(mpmath, t, df):
+    """P(|T| >= |t|) as 50-digit mpmath computes it, from the exact double t."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        x = df / (df + t * t)
+        return mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
+
+
 class TestCorrectedTTest:
+    # scipy's stdtr is Boost's t_cdf, itself 3e-9 off at df = 1 and
+    # |t| = 1e-8, so the tail is held to the exact value, not to scipy's bits
+
     def test_p_value_is_two_sided_student_t(self, rng):
         for j in (2, 3, 5, 10, 25):
             for _ in range(20):
                 a, b = rng.uniform(size=j), rng.uniform(size=j)
                 r = corrected_ttest(a, b, n_train=80, n_test=20)
-                assert r.p_value == 2.0 * float(stats.t.sf(abs(r.t), j - 1))
+                expected = 2.0 * float(stats.t.sf(abs(r.t), j - 1))
+                assert r.p_value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.floats(min_value=1e-8, max_value=1e3),
+        negative=st.booleans(),
+        df=st.integers(min_value=1, max_value=1000),
+    )
+    @example(t=1.727095594054686, negative=False, df=917)  # 2.3e-13 off with x^a uncorrected
+    @example(t=1e-8, negative=True, df=1)  # where scipy's stdtr is 3e-9 off
+    def test_p_value_matches_mpmath(self, t, negative, df):
+        mpmath = pytest.importorskip("mpmath")
+        exact = _exact_two_sided_p(mpmath, t, df)
+        assume(exact >= mpmath.mpf("1e-300"))
+        p = _student_t_two_sided(-t if negative else t, df)
+        assert abs(mpmath.mpf(p) - exact) <= 2e-13 * exact
+
+    @pytest.mark.parametrize(
+        "t, df",
+        [(1.7514984040041974, 696), (1.8334046725242192, 972),
+         (1.9191598609997378, 1000), (1.8196770916387957, 999)],
+    )
+    def test_p_value_near_the_branch_point(self, t, df):
+        # just below x = (a + 1)/(a + 5/2), the textbook odd continued-fraction
+        # steps, 1 - k*x, cancel and lose 9e-14 to 1e-13 at these points
+        mpmath = pytest.importorskip("mpmath")
+        exact = _exact_two_sided_p(mpmath, t, df)
+        assert abs(mpmath.mpf(_student_t_two_sided(t, df)) - exact) <= 2e-14 * exact
+
+    def test_p_value_closed_forms(self):
+        for t in np.concatenate([np.geomspace(1e-8, 1e3, 200), [1.0, 2.0, 3.0]]):
+            s = np.sqrt(2.0 + t * t)
+            closed = {
+                1: 2.0 / np.pi * np.arctan(1.0 / t),
+                2: 2.0 / (s * (s + t)),  # 1 - t/s without its cancellation
+            }
+            for df, expected in closed.items():
+                assert _student_t_two_sided(t, df) == pytest.approx(expected, rel=2e-13, abs=0)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 999, 1000])
+    def test_p_value_edges(self, df):
+        assert _student_t_two_sided(0.0, df) == 1.0
+        assert _student_t_two_sided(-0.0, df) == 1.0
+        assert _student_t_two_sided(np.inf, df) == 0.0
+        assert _student_t_two_sided(-np.inf, df) == 0.0
+        assert np.isnan(_student_t_two_sided(np.nan, df))
+        for t in (1e-8, 0.3, 1.7, 2.5, 40.0, 1e3):
+            assert _student_t_two_sided(-t, df) == _student_t_two_sided(t, df)
 
     def test_identical_series(self):
         r = corrected_ttest([0.5, 0.6, 0.7], [0.5, 0.6, 0.7], 80, 20)

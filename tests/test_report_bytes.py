@@ -38,10 +38,11 @@ CONFIG = {
 }
 
 # Every digest below holds for split searches that score each position by
-# one kernel, sum_t (SL_t^2/WL + SR_t^2/WR - S_t^2/W).
+# one kernel, sum_t (SL_t^2/WL + SR_t^2/WR - S_t^2/W), and for t-test
+# p-values from `evaluation._student_t_two_sided`.
 
 # sha256 of report.json for CONFIG.
-EXPECTED_SHA256 = "021581a40e505a39ab6cfe8a5fca00055e036d4e31c3513de9c1f43bf16e5523"
+EXPECTED_SHA256 = "d1503838b5ac542c4af93cf0c3d3fe61844b33be3bd440acad8e0bd2df4d79a6"
 
 # sha256 of records.csv for CONFIG.
 RECORDS_SHA256 = "1b4fa3c785bcada8772c493cca1ee2e222f1c80a60fcaf30e5818d6ff5b0f633"
@@ -94,7 +95,7 @@ IMPUTE_CONFIG = {
 }
 
 # sha256 of report.json for IMPUTE_CONFIG.
-IMPUTE_SHA256 = "7e7b6d417360cedd136bf8bf34b20369889833423c0713b272ecc6bd1a522de8"
+IMPUTE_SHA256 = "e850ca54f44369f609503b065ed788dddd0297ac7a5b52292e370965eceb73b3"
 
 
 # 40 training rows per fold by 800 columns (CONCAT) or 420 (ENS-S): 276 of
@@ -119,7 +120,7 @@ WIDE_CONFIG = {
 }
 
 # sha256 of report.json for WIDE_CONFIG.
-WIDE_SHA256 = "3f2de73ed6e12f2d930baf76717bcab79cd78811594286c977fe624747b582fe"
+WIDE_SHA256 = "68a6f62e70d4ba0c53155ed604fb3b46913a80fd1b320c5035fea8f3493522a6"
 
 
 # `latefuse incremental` on three modalities, one with missing cells: the
