@@ -162,8 +162,6 @@ def cmd_incremental(args: argparse.Namespace) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         dataset = _load_or_generate(cfg)
         _check_method_modalities(cfg, dataset)
-        if len(dataset.modalities) < 2:
-            return _fail("incremental selection needs at least 2 modalities")
         result = incremental_select(
             dataset,
             cfg.preprocess,
@@ -227,11 +225,34 @@ def _method_fits(spec, subset: list) -> bool:
     return all(m in subset for m in spec.modalities)
 
 
+_TABLE_AGGREGATES = (
+    "macro_f1_mean", "macro_f1_sd", "macro_auc_mean", "accuracy_mean", "unknown_rate_mean",
+)
+
+
+def _not_a_report(data) -> str | None:
+    """Why `data` is not a report that `cmd_report` can print, or None."""
+    if not isinstance(data, dict):
+        return "the top level is not a JSON object"
+    if data.get("report_version") != 1:
+        return f"report_version is {data.get('report_version')!r}, not 1"
+    for label, m in data.get("methods", {}).items():
+        missing = [k for k in _TABLE_AGGREGATES if m.get("aggregates") and k not in m["aggregates"]]
+        if missing:
+            return f"method {label!r} has no aggregate {missing[0]!r}"
+    return None
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         return _fail(f"cannot read report: {e}")
+    except UnicodeDecodeError:
+        return _fail(f"{args.report}: not UTF-8 text")
+    problem = _not_a_report(data)
+    if problem:
+        return _fail(f"{args.report}: not a latefuse report ({problem})")
     print(f"report version {data.get('report_version')}, seed {data.get('seed')}")
     print(
         f"{data.get('repeats')}x{data.get('folds')} CV, "

@@ -213,6 +213,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file is not valid JSON: {e}") from None
     return parse_config(data, config_dir=path.parent)

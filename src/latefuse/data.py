@@ -170,13 +170,16 @@ class FoldPlan:
 def _csv_rows(path: str | Path) -> Iterator[tuple[list[str], Iterator[list[str]]]]:
     """The header and an iterator over the non-empty rows of a CSV file,
     read one row at a time while the file is open."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        yield header, (row for row in reader if row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            yield header, (row for row in reader if row)
+    except UnicodeDecodeError:  # from the header, or thrown in at the yield by a row
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def load_labels(labels_file: str | Path) -> tuple[list[str], list[str]]:

@@ -4,6 +4,8 @@ rounds and CV folds, and the relative weighted consistency stability index.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -54,6 +56,16 @@ class BorutaResult:
         return np.flatnonzero([s == TENTATIVE for s in self.statuses])
 
 
+def _binomial_half_tails(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(X >= h) and P(X <= h) for h = 0..n, X ~ Binomial(n, 1/2), each the
+    correctly rounded quotient of exact integer counts over 2**n."""
+    below = [0, *itertools.accumulate(math.comb(n, j) for j in range(n + 1))]  # #{X < h}
+    total = 2**n
+    at_least = np.array([(total - b) / total for b in below[:-1]])
+    at_most = np.array([b / total for b in below[1:]])
+    return at_least, at_most
+
+
 def boruta_select(
     X: np.ndarray,
     y: np.ndarray,
@@ -70,8 +82,6 @@ def boruta_select(
     rejects and removes the feature. Whatever is undecided after max_iter
     stays tentative.
     """
-    from scipy import stats  # imported here so that `latefuse run` never loads it
-
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     if X.ndim != 2 or X.shape[1] == 0 or len(X) == 0:
@@ -102,8 +112,9 @@ def boruta_select(
 
         hits[active[real_imp > shadow_max]] += 1
 
-        up_p = stats.binom.sf(hits[undecided] - 1, it, 0.5)
-        down_p = stats.binom.cdf(hits[undecided], it, 0.5)
+        at_least, at_most = _binomial_half_tails(it)
+        up_p = at_least[hits[undecided]]
+        down_p = at_most[hits[undecided]]
         decided[undecided[up_p <= bonferroni_alpha]] = 1
         decided[undecided[down_p <= bonferroni_alpha]] = -1
 

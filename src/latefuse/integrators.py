@@ -572,13 +572,12 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _minimize_view_bound(
-    risks: np.ndarray,
-    disagreements: np.ndarray,
-    max_steps: int = 200,
-    tol: float = 1e-6,
-    step_size: float = 0.05,
-) -> tuple[np.ndarray, bool]:
+_BOUND_MAX_STEPS = 200
+_BOUND_TOL = 1e-6
+_BOUND_STEP_SIZE = 0.05
+
+
+def _minimize_view_bound(risks: np.ndarray, disagreements: np.ndarray) -> tuple[np.ndarray, bool]:
     """Minimize the majority-vote error bound 1 - (1-2r)^2 / (1-2d) over the
     view-weight simplex by projected gradient descent.
 
@@ -593,17 +592,25 @@ def _minimize_view_bound(
         b = max(1.0 - 2.0 * d_bar, 1e-6)
         return (4.0 * a * risks * b - 2.0 * a * a * disagreements) / (b * b)
 
-    for _ in range(max_steps):
+    for _ in range(_BOUND_MAX_STEPS):
         r_bar = float(rho @ risks)
         d_bar = float(rho @ disagreements)
         g = _grad(r_bar, d_bar)
         if not np.isfinite(g).all():
             return np.full(v, 1.0 / v), False
-        new_rho = _project_simplex(rho - step_size * g)
-        if np.abs(new_rho - rho).max() < tol:
+        new_rho = _project_simplex(rho - _BOUND_STEP_SIZE * g)
+        if np.abs(new_rho - rho).max() < _BOUND_TOL:
             return new_rho, True
         rho = new_rho
     return rho, True  # hit the step cap; current point is still on the simplex
+
+
+def _q_disagreement(qn: np.ndarray, preds: np.ndarray) -> float:
+    """Sum over round pairs a != b of qn[a] * qn[b] * (share of rows where the
+    (T, n) label rows `preds` differ), added in row-major pair order; the
+    diagonal adds +0.0, so this is the pairwise double loop bit for bit."""
+    pair = np.array([(p != preds).mean(axis=1) for p in preds])  # (T, T)
+    return float(np.cumsum(qn[:, None] * qn[None, :] * pair)[-1])
 
 
 def _predict_pbmv(values, *, models, q, rho, n_classes):
@@ -634,11 +641,11 @@ def fit_pbmvboost(
     """Two-level boosting: per-view classifier weights from the weighted edge,
     plus view weights on the simplex from bound minimization.
 
-    Each view keeps its own Adaboost-style example weights. After every
-    iteration the view weights rho are refit by minimizing the majority-vote
-    error bound from the views' current risks and pairwise within-view
-    disagreements. Extras carry `view_weights` and whether the last refit
-    fell back to uniform weights (`uniform_fallback`).
+    Each view keeps its own Adaboost-style example weights. After the last
+    round the view weights rho are fit once, by minimizing the majority-vote
+    error bound from the views' risks and pairwise within-view disagreements.
+    Extras carry `view_weights` and whether that fit fell back to uniform
+    weights (`uniform_fallback`).
     """
     if len(tables) < 2:
         raise IntegrationError("PBMV needs at least 2 modalities")
@@ -651,8 +658,6 @@ def fit_pbmvboost(
     per_view_q: list[list[float]] = [[] for _ in range(V)]
     per_view_eps: list[list[float]] = [[] for _ in range(V)]
     train_labels: list[list[np.ndarray]] = [[] for _ in range(V)]
-    rho = np.full(V, 1.0 / V)
-    fallback = False
 
     for t in range(spec.boosting_rounds):
         for v, table in enumerate(tables):
@@ -673,40 +678,28 @@ def fit_pbmvboost(
             d_v[v] = d_v[v] * np.where(mis, math.exp(q), 1.0)
             d_v[v] = d_v[v] * (n / d_v[v].sum())
 
-        # Gibbs risk per view under the Q-posterior, from the boosting-weighted
-        # errors: an uninformative view stays near chance under reweighting
-        # even when its classifiers memorize the raw training set.
-        risks = np.empty(V)
-        disagreements = np.empty(V)
-        for v in range(V):
-            q = np.array(per_view_q[v])
-            preds = np.stack(train_labels[v], axis=0)  # (T, n)
-            if q.sum() <= 0:
-                risks[v] = 0.5
-                disagreements[v] = 0.0
-                continue
+    # Gibbs risk per view under the Q-posterior, from the boosting-weighted
+    # errors: an uninformative view stays near chance under reweighting even
+    # when its classifiers memorize the raw training set.
+    q_arrays = [np.array(q) for q in per_view_q]
+    risks = np.full(V, 0.5)
+    disagreements = np.zeros(V)
+    for v, q in enumerate(q_arrays):
+        if q.sum() > 0:
             qn = q / q.sum()
             risks[v] = float(np.dot(qn, per_view_eps[v]))
-            dis = 0.0
-            for a in range(len(q)):
-                for b in range(len(q)):
-                    if a == b:
-                        continue
-                    dis += qn[a] * qn[b] * float(np.mean(preds[a] != preds[b]))
-            disagreements[v] = dis
-        rho, converged = _minimize_view_bound(risks, disagreements)
-        if not converged:
-            rho = np.full(V, 1.0 / V)
-            fallback = True
+            disagreements[v] = _q_disagreement(qn, np.stack(train_labels[v], axis=0))
+    rho, converged = _minimize_view_bound(risks, disagreements)
+    if not converged:
+        rho = np.full(V, 1.0 / V)
 
-    q_arrays = [np.array(q) for q in per_view_q]
     importances = [
         _weighted_importance(q, [m.feature_importances_ for m in models])
         for q, models in zip(q_arrays, per_view_models)
     ]
     extras = {
         "view_weights": {t.modality_name: float(w) for t, w in zip(tables, rho)},
-        "uniform_fallback": fallback,
+        "uniform_fallback": not converged,
     }
     return _fitted(
         spec, tables, importances,
@@ -864,7 +857,6 @@ class RemovalStep:
 class IncrementalResult:
     trace: list[RemovalStep]
     best_subset: list[str]
-    subset_scores: dict = field(default_factory=dict)  # frozenset(names) -> F1
 
 
 def score_modality_subset(
@@ -941,8 +933,4 @@ def incremental_select(
             step += 1
         else:
             break
-    return IncrementalResult(
-        trace=trace,
-        best_subset=remaining,
-        subset_scores={tuple(sorted(k)): v for k, v in cache.items()},
-    )
+    return IncrementalResult(trace=trace, best_subset=remaining)

@@ -104,6 +104,14 @@ class TestRun:
             "assert not unused(), ('import', unused())\n"
             f"assert latefuse.cli.main(['run', '-c', {str(cfg)!r}]) == 0\n"
             "assert not unused(), ('run', unused())\n"
+            "import numpy as np\n"
+            "from latefuse.feature_selection import BorutaParams, boruta_select\n"
+            "rng = np.random.default_rng(0)\n"
+            "y = rng.integers(0, 2, 40)\n"
+            "X = rng.normal(size=(40, 4)) + y[:, None] * [3.0, 0, 0, 0]\n"
+            "res = boruta_select(X, y, BorutaParams(max_iter=6))\n"
+            "assert res.n_iterations > 0 and res.statuses[0] != 'rejected', res\n"
+            "assert not unused(), ('boruta', unused())\n"
         )
         src = str(Path(latefuse.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -139,6 +147,38 @@ class TestRun:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "-c", str(cfg_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["header", "last row"])
+    def test_non_utf8_modality_csv_exits_one(self, tmp_path, capsys, where):
+        # the last row lies past the first block the text reader decodes
+        gen_cfg = _write_config(tmp_path / "gen.json", synth={
+            "n_samples": 48, "n_classes": 3,
+            "modalities": [{"name": "A", "n_features": 30, "n_informative": 3},
+                           {"name": "B", "n_features": 6, "n_informative": 2}],
+        })
+        assert main(["generate", "-c", str(gen_cfg)]) == 0
+        out = tmp_path / "out"
+        raw = (out / "A.csv").read_bytes()
+        assert len(raw) > 3 * 8192
+        at = 0 if where == "header" else len(raw) - 2
+        (out / "A.csv").write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        run_cfg = json.loads(gen_cfg.read_text())
+        del run_cfg["synth"]
+        run_cfg["dataset"] = {
+            "modalities": [{"name": "A", "path": str(out / "A.csv")},
+                           {"name": "B", "path": str(out / "B.csv")}],
+            "labels": str(out / "labels.csv"),
+        }
+        (tmp_path / "run.json").write_text(json.dumps(run_cfg))
+        capsys.readouterr()
+        assert main(["run", "-c", str(tmp_path / "run.json")]) == 1
+        assert f"{out / 'A.csv'}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xff")
+        assert main(["run", "-c", str(cfg)]) == 1
+        assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path / "config.json")
@@ -222,3 +262,22 @@ class TestReport:
 
     def test_missing_report_exits_one(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 1
+
+    def test_non_utf8_report_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["report", str(path)]) == 1
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, cause", [
+        ([], "the top level is not a JSON object"),
+        ({"report_version": 2, "methods": {}}, "report_version is 2, not 1"),
+        ({"methods": {"A": {"aggregates": {"x": 1}}}}, "report_version is None, not 1"),
+        ({"report_version": 1, "methods": {"A": {"aggregates": {"macro_f1_mean": 0.5}}}},
+         "method 'A' has no aggregate 'macro_f1_sd'"),
+    ])
+    def test_json_that_is_not_a_report_exits_one(self, tmp_path, capsys, data, cause):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(data))
+        assert main(["report", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not a latefuse report ({cause})\n"

@@ -20,8 +20,8 @@ from latefuse.evaluation import (
     macro_f1,
     run_cv_benchmark,
 )
-from latefuse.integrators import IntegratorSpec
-from latefuse.learners import GbmParams, PredictionSet
+from latefuse.integrators import INTEGRATOR_KINDS, IntegratorSpec
+from latefuse.learners import GbmParams, PredictionSet, RandomForestParams
 from latefuse.preprocess import PreprocessConfig
 from latefuse.synth import ModalitySpec, SynthSpec, generate
 
@@ -426,16 +426,22 @@ class TestBenchmark:
         b = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=9)
         assert a.to_json() == b.to_json()
 
-    def test_parallel_equals_sequential(self):
+    @given(
+        kinds=st.lists(st.sampled_from(INTEGRATOR_KINDS), min_size=1, max_size=3, unique=True),
+        seed=st.integers(0, 2**16),
+    )
+    @example(kinds=["ENS-S", "ENS-H", "PBMV"], seed=5)  # these share base models in a cell
+    @settings(max_examples=6, deadline=None)
+    def test_parallel_equals_sequential(self, kinds, seed):
         ds = _bench_dataset()
         plan = make_fold_plan(ds.labels, repeats=1, folds=3, seed=4)
-        methods = [  # these share base models within each cell
-            IntegratorSpec(kind="ENS-S", base=FAST),
-            IntegratorSpec(kind="ENS-H", base=FAST),
-            IntegratorSpec(kind="PBMV", base=FAST, boosting_rounds=2),
+        methods = [
+            IntegratorSpec(kind=k, base=FAST, boosting_rounds=2, inner_folds=3,
+                           meta_forest=RandomForestParams(n_trees=10))
+            for k in kinds
         ]
-        seq = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=5, n_jobs=1)
-        par = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=5, n_jobs=2)
+        seq = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=seed, n_jobs=1)
+        par = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=seed, n_jobs=2)
         assert seq.to_json() == par.to_json()
 
     def test_method_failure_is_isolated(self):

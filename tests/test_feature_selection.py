@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from latefuse.feature_selection import (
     BorutaParams,
     FeatureSelectionError,
+    _binomial_half_tails,
     aggregate_boosted_importance,
     boruta_select,
     select_signature,
@@ -71,6 +73,26 @@ class TestBoruta:
     def test_empty_errors(self):
         with pytest.raises(FeatureSelectionError):
             boruta_select(np.empty((0, 3)), np.empty(0, dtype=int))
+
+
+class TestBinomialHalfTails:
+    @pytest.mark.parametrize("n, at_least, at_most", [
+        (0, [1.0], [1.0]),
+        (1, [1.0, 0.5], [0.5, 1.0]),
+        (3, [1.0, 7 / 8, 4 / 8, 1 / 8], [1 / 8, 4 / 8, 7 / 8, 1.0]),
+        (4, [1.0, 15 / 16, 11 / 16, 5 / 16, 1 / 16], [1 / 16, 5 / 16, 11 / 16, 15 / 16, 1.0]),
+    ])
+    def test_hand_summed(self, n, at_least, at_most):
+        up, down = _binomial_half_tails(n)
+        assert up.tolist() == at_least
+        assert down.tolist() == at_most
+
+    def test_matches_scipy(self):
+        h = np.arange(301)
+        for n in range(1, 301):
+            up, down = _binomial_half_tails(n)
+            np.testing.assert_allclose(up, stats.binom.sf(h[: n + 1] - 1, n, 0.5), rtol=1e-13)
+            np.testing.assert_allclose(down, stats.binom.cdf(h[: n + 1], n, 0.5), rtol=1e-13)
 
 
 class TestAggregateImportance:

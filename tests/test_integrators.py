@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latefuse import integrators
@@ -447,6 +447,82 @@ class TestPbmv:
         spec = IntegratorSpec(kind="PBMV", base=FAST)
         with pytest.raises(IntegrationError, match="at least 2"):
             fit_pbmvboost(tables[:1], y, spec, 3, seed=0)
+
+    def test_view_bound_is_fit_once_after_the_last_round(self, rng, monkeypatch):
+        tables, y = _two_modality_data(rng)
+        spec = IntegratorSpec(kind="PBMV", base=GbmParams(n_rounds=4, max_depth=2),
+                              boosting_rounds=4)
+        calls = []
+        real = integrators._minimize_view_bound
+
+        def spy(risks, dis):
+            calls.append((risks.copy(), dis.copy()))
+            return real(risks, dis)
+
+        monkeypatch.setattr(integrators, "_minimize_view_bound", spy)
+        fitted = fit_pbmvboost(tables, y, spec, 3, seed=2)
+        assert len(calls) == 1
+        rho, _ = real(*calls[0])
+        assert fitted.extras["view_weights"] == {"A": float(rho[0]), "B": float(rho[1])}
+
+    def test_uniform_fallback_agrees_with_view_weights(self, rng, monkeypatch):
+        # the first minimization fails and every later one succeeds: the flag
+        # must describe the weights that are reported, fit after fit
+        tables, y = _two_modality_data(rng)
+        spec = IntegratorSpec(kind="PBMV", base=GbmParams(n_rounds=4, max_depth=2),
+                              boosting_rounds=3)
+        calls = []
+
+        def flaky(risks, dis):
+            calls.append(None)
+            if len(calls) == 1:
+                return np.full(2, 0.5), False
+            return np.array([0.7, 0.3]), True
+
+        monkeypatch.setattr(integrators, "_minimize_view_bound", flaky)
+        for _ in range(2):
+            extras = fit_pbmvboost(tables, y, spec, 3, seed=8).extras
+            uniform = extras["view_weights"] == {"A": 0.5, "B": 0.5}
+            assert extras["uniform_fallback"] is uniform
+        assert extras["view_weights"] == {"A": 0.7, "B": 0.3}
+
+
+def _loop_disagreement(qn, preds):
+    """The pairwise double loop that `_q_disagreement` replaces."""
+    dis = 0.0
+    for a in range(len(qn)):
+        for b in range(len(qn)):
+            if a == b:
+                continue
+            dis += qn[a] * qn[b] * float(np.mean(preds[a] != preds[b]))
+    return dis
+
+
+@st.composite
+def _rounds(draw):
+    t = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(2, 4))
+    rows = [draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)) for _ in range(t)]
+    for i in range(1, t):  # some rounds repeat an earlier one exactly
+        if draw(st.booleans()):
+            rows[i] = rows[draw(st.integers(0, i - 1))]
+    q = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 20.0)), min_size=t, max_size=t,
+    )))
+    qn = q / q.sum() if q.sum() > 0 else q
+    return qn, np.array(rows, dtype=np.intp)
+
+
+@given(_rounds())
+@example((np.array([1.0]), np.array([[0, 1, 2]])))  # T = 1
+@example((np.zeros(3), np.array([[0], [1], [0]])))  # all-zero q, n = 1
+@example((np.array([0.0, 0.25, 0.75]), np.array([[0, 1], [1, 1], [0, 0]])))  # partly zero q
+@example((np.array([0.5, 0.5]), np.array([[2, 0, 1], [2, 0, 1]])))  # identical rounds
+@settings(max_examples=300, deadline=None)
+def test_q_disagreement_is_the_double_loop_bit_for_bit(case):
+    qn, preds = case
+    assert integrators._q_disagreement(qn, preds) == _loop_disagreement(qn, preds)
 
 
 class TestMoe:
