@@ -236,11 +236,34 @@ def _not_a_report(data) -> str | None:
         return "the top level is not a JSON object"
     if data.get("report_version") != 1:
         return f"report_version is {data.get('report_version')!r}, not 1"
-    for label, m in data.get("methods", {}).items():
-        missing = [k for k in _TABLE_AGGREGATES if m.get("aggregates") and k not in m["aggregates"]]
+    methods = data.get("methods", {})
+    if not isinstance(methods, dict):
+        return "methods is not an object"
+    for label, m in methods.items():
+        if not isinstance(m, dict):
+            return f"method {label!r} is not an object"
+        aggregates, stability = m.get("aggregates") or {}, m.get("stability") or {}
+        if not isinstance(aggregates, dict) or not isinstance(stability, dict):
+            return f"method {label!r} has aggregates or stability that is not an object"
+        missing = [k for k in _TABLE_AGGREGATES if aggregates and k not in aggregates]
         if missing:
             return f"method {label!r} has no aggregate {missing[0]!r}"
+        wrong = [k for k in _TABLE_AGGREGATES if aggregates and not _is_number(aggregates[k])]
+        if wrong:
+            return f"method {label!r} has aggregate {wrong[0]!r} that is not a number"
+        if stability.get("cw_rel") is not None and not _is_number(stability["cw_rel"]):
+            return f"method {label!r} has a cw_rel that is not a number"
+    significance = data.get("significance", [])
+    if not isinstance(significance, list):
+        return "significance is not a list"
+    for i, entry in enumerate(significance):
+        if not (isinstance(entry, dict) and _is_number(entry.get("p_value"))):
+            return f"significance entry {i} has no numeric p_value"
     return None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def cmd_report(args: argparse.Namespace) -> int:

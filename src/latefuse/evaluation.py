@@ -463,7 +463,8 @@ def run_cv_benchmark(
 ) -> EvaluationReport:
     """Fit and score every method on every (repeat, fold) cell, then attach
     signatures, stability and pairwise corrected t-tests on the per-fold
-    macro-F1 and AUC series."""
+    macro-F1 and AUC series. A pair of methods is tested on the (repeat,
+    fold) cells that both scored, and only when there are at least two."""
     labels = [spec.label for spec in methods]
     if len(set(labels)) != len(labels):
         raise EvaluationError("duplicate method labels; set distinct names")
@@ -561,13 +562,17 @@ def _pairwise_significance(
     n_train = n_samples - n_test
     entries = []
     for a, b in combinations(methods_out.values(), 2):
-        if not a.fold_records or not b.fold_records:
-            continue
-        if len(a.fold_records) != len(b.fold_records):
-            continue  # a method failed on some folds; series not comparable
+        b_cells = {(r["repeat"], r["fold"]): r for r in b.fold_records}
+        pairs = [
+            (r, b_cells[r["repeat"], r["fold"]])
+            for r in a.fold_records
+            if (r["repeat"], r["fold"]) in b_cells
+        ]
+        if len(pairs) < 2:
+            continue  # fewer than 2 cells that both methods scored
         for metric in ("macro_f1", "macro_auc"):
-            sa = [r[metric] for r in a.fold_records]
-            sb = [r[metric] for r in b.fold_records]
+            sa = [ra[metric] for ra, _ in pairs]
+            sb = [rb[metric] for _, rb in pairs]
             res = corrected_ttest(sa, sb, n_train, n_test)
             entries.append(
                 SignificanceEntry(metric=metric, method_a=a.label, method_b=b.label, **asdict(res))

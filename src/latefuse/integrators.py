@@ -14,7 +14,10 @@ seed, so the context fits each (training matrix, labels, weights, params)
 once and hands the same model to every request for it: ENS-H, ENS-S, ML's
 full-data base models and the first round of ADA-* and PBMV share one
 model per modality, and a PBMV view whose weights stop changing reuses its
-fit in every later round. Seeded fits (`subsample` < 1) are never shared.
+fit in every later round. A request for fewer rounds than a fit already made
+on the same inputs gets that fit's first rounds, so a PBMV or ADA-* base
+shorter than the ensembles' is not boosted again. Seeded fits
+(`subsample` < 1) are never shared.
 
 Method kinds (config vocabulary):
 
@@ -31,7 +34,7 @@ Method kinds (config vocabulary):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -169,24 +172,36 @@ class FitContext:
     `gbm` returns the model it already fitted for the same training matrix
     (the same array object), labels, weights, params and class count when
     `params.subsample` is 1: `fit_gbm` then never reads its seed, so the
-    seed is not part of the key. Each entry keeps its matrix alive, so no
-    id is reused while the context lives; a matrix must not be changed in
-    place meanwhile. Fits with `subsample` < 1 depend on the seed and are
-    always made afresh.
+    seed is not part of the key. A request that differs from an earlier one
+    only in asking for fewer rounds is served the first rounds of the
+    longest such fit (`GbmModel.first_rounds`), which are the model a fit of
+    that many rounds would make; a longer request is fitted afresh and
+    becomes the longest. Every model served is stored under its own request,
+    so a repeated request returns the same object. Each entry keeps its
+    matrix alive, so no id is reused while the context lives; a matrix must
+    not be changed in place meanwhile. Fits with `subsample` < 1 depend on
+    the seed and are always made afresh.
     """
 
     def __init__(self) -> None:
         self._fits: dict[tuple, tuple[np.ndarray, GbmModel]] = {}
+        self._longest: dict[tuple, GbmModel] = {}  # by the key without n_rounds
 
     def gbm(self, X, y, w, params: GbmParams, seed: int, K: int) -> GbmModel:
         if params.subsample < 1.0:
             return fit_gbm(X, y, w, params, seed=seed, n_classes=K)
         # check the input before its labels and weights go into the key
         _, w_checked, y_checked, _ = _fit_inputs(X, y, w, K)
-        key = (id(X), y_checked.tobytes(), w_checked.tobytes(), params, K)
+        base = (id(X), y_checked.tobytes(), w_checked.tobytes(), replace(params, n_rounds=0), K)
+        key = (*base, params.n_rounds)
         entry = self._fits.get(key)
         if entry is None:
-            entry = self._fits[key] = (X, fit_gbm(X, y, w, params, seed=seed, n_classes=K))
+            longest = self._longest.get(base)
+            if longest is not None and len(longest.trees) >= params.n_rounds:
+                model = longest.first_rounds(params.n_rounds)
+            else:
+                model = self._longest[base] = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+            entry = self._fits[key] = (X, model)
         return entry[1]
 
 

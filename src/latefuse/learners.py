@@ -11,7 +11,9 @@ All learners share the same conventions:
   every fit is invariant to uniform rescaling of the weight vector;
 * feature importance is total weighted impurity decrease per feature,
   normalized to sum to 1 (all zero when no split exists);
-* fits are deterministic functions of (data, params, seed);
+* fits are deterministic functions of (data, params, seed), and a GBM's
+  rounds are fit in order, so `GbmModel.first_rounds(R)` is the model that
+  an R-round fit of the same inputs and seed makes;
 * every fit checks its input against one contract, `_fit_inputs`: a
   non-empty finite X, one finite target per row (a class index in [0, K)
   for a classifier) and finite, nonnegative weights, not all zero; any
@@ -52,6 +54,7 @@ from collections import ChainMap
 from collections.abc import MutableMapping
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -550,6 +553,16 @@ class GbmParams:
             raise LearnerError("subsample: must be in (0, 1]")
 
 
+def _normalized_importance(trees, n_features: int) -> np.ndarray:
+    """The trees' raw importances, added in fitting order, as shares of
+    their total (all zeros when no split gained)."""
+    importance = np.zeros(n_features, dtype=np.float64)
+    for tree in trees:
+        importance += tree.raw_importance
+    total = importance.sum()
+    return importance / total if total > 0 else importance
+
+
 class _TreeEnsemble:
     """The one prediction path of the GBM and the forest. `trees` holds one
     group per entry, in fitting order: a round's K class trees, or one
@@ -600,6 +613,25 @@ class GbmModel(_TreeEnsemble):
     def _all_trees(self) -> list:
         return [t for round_trees in self.trees for t in round_trees]
 
+    def first_rounds(self, n: int) -> "GbmModel":
+        """The model that `fit_gbm` makes with `n` rounds on the same inputs
+        and seed: rounds are fit in order, and each depends only on those
+        before it."""
+        if not 0 <= n <= len(self.trees):
+            raise LearnerError(f"first_rounds: n must be in [0, {len(self.trees)}]")
+        trees = self.trees[:n]
+        return GbmModel(
+            params=replace(self.params, n_rounds=n),
+            n_classes=self.n_classes,
+            n_features=self.n_features,
+            init_scores=self.init_scores,
+            trees=trees,
+            feature_importances_=_normalized_importance(
+                chain.from_iterable(trees), self.n_features
+            ),
+            train_losses_=self.train_losses_[: n + 1],
+        )
+
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         return self._sum_groups(X, self.init_scores, self.params.learning_rate)
 
@@ -646,7 +678,6 @@ def fit_gbm(
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
 
     trees: list[list[DecisionTree]] = []
-    importance = np.zeros(X.shape[1], dtype=np.float64)
     losses = [log_loss(scores, y, w) / w.sum()]
 
     rows, root = slice(None), None  # the trees' rows: all, or each round's subsample
@@ -678,20 +709,17 @@ def fit_gbm(
             gamma[np.abs(den) < 1e-150] = 0.0
             tree.leaf_values = gamma
             scores[:, k] += params.learning_rate * gamma[leaf]
-            importance += tree.raw_importance
             round_trees.append(tree)
         trees.append(round_trees)
         losses.append(log_loss(scores, y, w) / w.sum())
 
-    total = importance.sum()
-    feature_importances = importance / total if total > 0 else importance
     return GbmModel(
         params=params,
         n_classes=K,
         n_features=X.shape[1],
         init_scores=init_scores,
         trees=trees,
-        feature_importances_=feature_importances,
+        feature_importances_=_normalized_importance(chain.from_iterable(trees), X.shape[1]),
         train_losses_=losses,
     )
 
@@ -761,19 +789,14 @@ def fit_random_forest(
     )
 
     trees = []
-    importance = np.zeros(n_feat, dtype=np.float64)
     for i in range(params.n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        tree = _fit_cart(X[rows], y[rows], w[rows], tree_params, rng)
-        importance += tree.raw_importance
-        trees.append(tree)
-    total = importance.sum()
-    feature_importances = importance / total if total > 0 else importance
+        trees.append(_fit_cart(X[rows], y[rows], w[rows], tree_params, rng))
     return RandomForestModel(
         params=params,
         n_classes=K,
         n_features=n_feat,
         trees=trees,
-        feature_importances_=feature_importances,
+        feature_importances_=_normalized_importance(trees, n_feat),
     )

@@ -250,6 +250,12 @@ class TestIncremental:
         assert main(["incremental", "-c", str(cfg)]) == 1
 
 
+# the five aggregates that `latefuse report` prints
+AGGREGATES = dict.fromkeys(
+    ("macro_f1_mean", "macro_f1_sd", "macro_auc_mean", "accuracy_mean", "unknown_rate_mean"), 0.5
+)
+
+
 class TestReport:
     def test_pretty_print(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "config.json")
@@ -275,6 +281,16 @@ class TestReport:
         ({"methods": {"A": {"aggregates": {"x": 1}}}}, "report_version is None, not 1"),
         ({"report_version": 1, "methods": {"A": {"aggregates": {"macro_f1_mean": 0.5}}}},
          "method 'A' has no aggregate 'macro_f1_sd'"),
+        ({"report_version": 1, "methods": []}, "methods is not an object"),
+        ({"report_version": 1, "methods": {"A": []}}, "method 'A' is not an object"),
+        ({"report_version": 1, "methods": {}, "significance": [{}]},
+         "significance entry 0 has no numeric p_value"),
+        ({"report_version": 1,
+          "methods": {"A": {"aggregates": {**AGGREGATES, "macro_f1_mean": "x"}}}},
+         "method 'A' has aggregate 'macro_f1_mean' that is not a number"),
+        ({"report_version": 1,
+          "methods": {"A": {"aggregates": AGGREGATES, "stability": {"cw_rel": "x"}}}},
+         "method 'A' has a cw_rel that is not a number"),
     ])
     def test_json_that_is_not_a_report_exits_one(self, tmp_path, capsys, data, cause):
         path = tmp_path / "other.json"

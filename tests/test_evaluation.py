@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from latefuse import evaluation
 from latefuse.data import make_fold_plan
 from latefuse.evaluation import (
     EvaluationError,
@@ -20,7 +21,7 @@ from latefuse.evaluation import (
     macro_f1,
     run_cv_benchmark,
 )
-from latefuse.integrators import INTEGRATOR_KINDS, IntegratorSpec
+from latefuse.integrators import INTEGRATOR_KINDS, IntegrationError, IntegratorSpec
 from latefuse.learners import GbmParams, PredictionSet, RandomForestParams
 from latefuse.preprocess import PreprocessConfig
 from latefuse.synth import ModalitySpec, SynthSpec, generate
@@ -486,6 +487,42 @@ class TestBenchmark:
         report = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=9)
         metrics = {e.metric for e in report.significance}
         assert metrics == {"macro_f1", "macro_auc"}
+
+    def test_significance_pairs_the_cells_both_methods_scored(self, monkeypatch):
+        # X fails on fold 0 and Y on fold 1: only folds 2 and 3 pair up
+        ds = _bench_dataset()
+        plan = make_fold_plan(ds.labels, repeats=1, folds=4, seed=9)
+        methods = [
+            IntegratorSpec(kind="ENS-S", base=FAST, name="X"),
+            IntegratorSpec(kind="ENS-H", base=FAST, name="Y"),
+        ]
+        calls = {"X": 0, "Y": 0}
+        fit = evaluation.fit_integrator
+
+        def failing(tables, labels, spec, n_classes, **kwargs):
+            fold = calls[spec.label]
+            calls[spec.label] += 1
+            if (spec.label, fold) in (("X", 0), ("Y", 1)):
+                raise IntegrationError("injected")
+            return fit(tables, labels, spec, n_classes, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_integrator", failing)
+        report = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=9)
+        x, y = report.methods["X"], report.methods["Y"]
+        assert [r["fold"] for r in x.fold_records] == [1, 2, 3]
+        assert [r["fold"] for r in y.fold_records] == [0, 2, 3]
+        assert [e.metric for e in report.significance] == ["macro_f1", "macro_auc"]
+        n_test = ds.n_samples / 4
+        for e in report.significance:
+            expected = corrected_ttest(
+                [r[e.metric] for r in x.fold_records[1:]],
+                [r[e.metric] for r in y.fold_records[1:]],
+                ds.n_samples - n_test,
+                n_test,
+            )
+            assert (e.t, e.p_value, e.degenerate) == (
+                expected.t, expected.p_value, expected.degenerate
+            )
 
     def test_duplicate_labels_rejected(self):
         ds = _bench_dataset()

@@ -719,10 +719,69 @@ class TestFitContext:
             fits.gbm(X.copy(), y, w, FAST, 0, 3),  # equal values, another array
             fits.gbm(X, y2, w, FAST, 0, 3),
             fits.gbm(X, y, w2, FAST, 0, 3),
-            fits.gbm(X, y, w, replace(FAST, n_rounds=5), 0, 3),
             fits.gbm(X, y, w, FAST, 0, 4),
         ]
         assert all(m is not first for m in others)
+
+    @pytest.fixture
+    def fitted_rounds(self, monkeypatch):
+        """The `n_rounds` of each `fit_gbm` call that a fit context makes."""
+        rounds = []
+        fit = integrators.fit_gbm
+
+        def counted(X, y, w, params, **kwargs):
+            rounds.append(params.n_rounds)
+            return fit(X, y, w, params, **kwargs)
+
+        monkeypatch.setattr(integrators, "fit_gbm", counted)
+        return rounds
+
+    def test_a_shorter_request_is_served_from_the_longest_fit(self, rng, fitted_rounds):
+        tables, y = _two_modality_data(rng)
+        X, w = tables[0].values, np.ones(len(y))
+        short = replace(FAST, n_rounds=6)
+        # 12 rounds then 6: one fit, and the 6 are its first rounds
+        fits = FitContext()
+        longest = fits.gbm(X, y, w, FAST, 0, 3)
+        served = fits.gbm(X, y, w, short, 0, 3)
+        assert fitted_rounds == [12]
+        assert served.params == short and served.trees == longest.trees[:6]
+        assert fits.gbm(X, y.copy(), w.copy(), short, 99, 3) is served  # a repeat: the same object
+        five = fits.gbm(X, y, w, replace(FAST, n_rounds=5), 0, 3)
+        assert five is not served and five.trees == longest.trees[:5]
+        assert fitted_rounds == [12]
+        # 6 then 12: two fits, and the longer one serves later requests
+        fits = FitContext()
+        first = fits.gbm(X, y, w, short, 0, 3)
+        longest = fits.gbm(X, y, w, FAST, 0, 3)
+        assert fitted_rounds == [12, 6, 12]
+        assert fits.gbm(X, y, w, short, 0, 3) is first
+        assert fits.gbm(X, y, w, replace(FAST, n_rounds=9), 0, 3).trees == longest.trees[:9]
+        assert fitted_rounds == [12, 6, 12]
+
+    def test_only_fewer_rounds_of_the_same_request_is_served(self, rng, fitted_rounds):
+        tables, y = _two_modality_data(rng)
+        X, w = tables[0].values, np.ones(len(y))
+        y2, w2 = y.copy(), w.copy()
+        y2[0], w2[0] = (y[0] + 1) % 3, 2.0
+        short = replace(FAST, n_rounds=6)
+        halves = replace(FAST, subsample=0.5)
+        requests = [
+            (X, y, w, replace(short, learning_rate=0.2), 3),
+            (X, y, w, replace(short, max_depth=3), 3),
+            (X, y, w, replace(short, min_leaf=3), 3),
+            (X, y, w, short, 4),
+            (X, y, w2, short, 3),
+            (X, y2, w, short, 3),
+            (X.copy(), y, w, short, 3),  # equal values, another array
+            (X, y, w, halves, 3),
+            (X, y, w, replace(halves, n_rounds=6), 3),
+        ]
+        fits = FitContext()
+        fits.gbm(X, y, w, FAST, 0, 3)
+        for X_r, y_r, w_r, params, K in requests:
+            fits.gbm(X_r, y_r, w_r, params, 0, K)
+        assert len(fitted_rounds) == 1 + len(requests)
 
     def test_pbmv_view_that_fits_exactly_keeps_one_model(self, rng):
         tables, y = _two_modality_data(rng, sep=4.0)

@@ -571,6 +571,23 @@ class TestGbmExactness:
         b = fit_gbm(X, y, w, params, seed=other_seed, n_classes=K)
         assert_same_gbm(a, b, X)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_gbm_case(), st.data())
+    def test_first_rounds_are_the_shorter_fit(self, case, data):
+        # a fit context serves a request for fewer rounds on this ground
+        X, y, w, params, K, seed = case
+        n = data.draw(st.integers(0, params.n_rounds))
+        fresh = fit_gbm(X, y, w, replace(params, n_rounds=n), seed=seed, n_classes=K)
+        longest = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+        fits = FitContext()
+        fits.gbm(X, y, w, params, seed, K)
+        for served in (longest.first_rounds(n), fits.gbm(X, y, w, fresh.params, seed, K)):
+            assert served.params == fresh.params
+            assert_same_gbm(served, fresh, X)
+            np.testing.assert_array_equal(served.decision_scores(X), fresh.decision_scores(X))
+        with pytest.raises(LearnerError, match="first_rounds"):
+            longest.first_rounds(params.n_rounds + 1)
+
     def test_trees_are_stacked_once_per_model(self, rng, monkeypatch):
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 3, 30)

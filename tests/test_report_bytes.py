@@ -254,3 +254,41 @@ def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(integrators, "fit_gbm", counted_fit)
     _run(tmp_path, monkeypatch)
     assert counts == {"requests": 104, "fits": 60}
+
+
+# ADA-H and PBMV boost shorter bases than ENS-S, on the same per-modality
+# matrices, labels and unit weights: their first round is served from ENS-S's
+# fit.
+SHORTER_BASE_CONFIG = {
+    **CONFIG,
+    "methods": [
+        {"kind": "ENS-S", "base": {"n_rounds": 10, "max_depth": 2}},
+        {"kind": "ADA-H", "base": {"n_rounds": 6, "max_depth": 2}, "boosting_rounds": 3},
+        {"kind": "PBMV", "base": {"n_rounds": 4, "max_depth": 2}, "boosting_rounds": 3},
+    ],
+}
+
+
+def test_shorter_bases_are_served_with_the_same_report_bytes(tmp_path, monkeypatch):
+    fits = []
+    fit = integrators.fit_gbm
+
+    def counted_fit(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    def unshared(self, X, y, w, params, seed, K):
+        return integrators.fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+
+    monkeypatch.setattr(integrators, "fit_gbm", counted_fit)
+    reports = {}
+    for run in ("served", "unshared"):
+        if run == "unshared":
+            monkeypatch.setattr(integrators.FitContext, "gbm", unshared)
+        fits.clear()
+        (tmp_path / run).mkdir()
+        _run(tmp_path / run, monkeypatch, SHORTER_BASE_CONFIG)
+        reports[run] = ((tmp_path / run / "out" / "report.json").read_bytes(), len(fits))
+    assert reports["served"][0] == reports["unshared"][0]
+    # 30 requests; sharing only exact repeats would fit 22 of them
+    assert (reports["served"][1], reports["unshared"][1]) == (10, 30)
