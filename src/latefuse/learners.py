@@ -24,7 +24,10 @@ Split search is exact and has one implementation, `_TreeBuilder`, shared by
 `fit_tree`, the forest and the GBM. Its `_SplitState` is feature-major: one
 C-contiguous row per candidate column holds the node's rows in that
 column's stable sort order, their weight cumsum and where a threshold may
-fall. One kernel scores every valid position of both tasks: over weighted
+fall. When a fit's weights are all equal, as in every forest tree and every
+unweighted GBM, the weight cumsum is the same in every column and is kept
+as one row, which every use broadcasts; a fit decides this once, not per
+node. One kernel scores every valid position of both tasks: over weighted
 targets t (w * y for regression, w * onehot_k for each class k of a Gini
 tree), gain = sum_t (SL_t^2/WL + SR_t^2/WR - S_t^2/W), from one gather and
 one cumsum per target. This is the node's impurity minus both sides', as
@@ -231,19 +234,23 @@ class _SplitState:
     (between equal neighbours, with fewer than `min_leaf` rows or no
     positive weight on a side; the last position always). Each array is
     (len(cols), rows) and C-contiguous, so each column's scan runs along one
-    contiguous row and whole-array arithmetic runs as one flat loop.
+    contiguous row and whole-array arithmetic runs as one flat loop; the
+    one exception is `cw` of uniform weights, a single (1, rows) row that
+    equals every column's cumsum bit for bit and broadcasts against the
+    others.
     """
 
-    def __init__(self, X, w, sorted_idx, cols, min_leaf):
+    def __init__(self, X, w, sorted_idx, cols, min_leaf, uniform):
         """X is C-contiguous; `sorted_idx` holds the node's rows in the
-        sorted order of every column of X; cols are ascending."""
+        sorted order of every column of X; cols are ascending; `uniform`
+        says that every weight of w is the same."""
         self.cols = cols
         all_cols = len(cols) == X.shape[1]
         self.S = S = sorted_idx if all_cols else sorted_idx[cols]
         flat = S * X.shape[1]
         flat += cols[:, None]
         Xs = X.take(flat)  # X[S, cols]
-        self.cw = cw = w.take(S)
+        self.cw = cw = w.take(S[:1] if uniform else S)
         cw.cumsum(axis=1, out=cw)
         valid = np.zeros(S.shape, dtype=bool)
         np.less(Xs[:, :-1], Xs[:, 1:], out=valid[:, :-1])
@@ -254,14 +261,14 @@ class _SplitState:
         self.invalid = np.logical_not(valid, out=valid)
 
     @classmethod
-    def of_rows(cls, X, w, rows, min_leaf) -> "_SplitState":
+    def of_rows(cls, X, w, rows, min_leaf, uniform) -> "_SplitState":
         """The state of a node holding `rows` of X (all of them when None),
         over every column, each sorted stably."""
         if rows is None:
             S = np.argsort(X.T, axis=1, kind="stable")
         else:
             S = rows[np.argsort(X[rows].T, axis=1, kind="stable")]
-        return cls(X, w, S, np.arange(X.shape[1], dtype=np.intp), min_leaf)
+        return cls(X, w, S, np.arange(X.shape[1], dtype=np.intp), min_leaf, uniform)
 
 
 class _TreeBuilder:
@@ -284,7 +291,9 @@ class _TreeBuilder:
     its (feature, n_left, side) steps from that root, to the node's
     `_SplitState` over every column. Given the root, the path fixes the
     node's rows, so a state found there is used without partitioning, and
-    each state built is stored there.
+    each state built is stored there. `uniform` says that all of w is the
+    same, so that states keep one weight-cumsum row; the builder checks w
+    itself when the caller, who may build many trees on one w, does not say.
     """
 
     def __init__(
@@ -296,10 +305,12 @@ class _TreeBuilder:
         rng: Optional[np.random.Generator] = None,
         root: Optional[_SplitState] = None,
         states: Optional[MutableMapping] = None,
+        uniform: Optional[bool] = None,
     ):
         self.X = X
         self.y = y
         self.w = w
+        self.uniform = bool(w.min() == w.max()) if uniform is None else uniform
         self.params = params
         self.rng = rng
         self.root = root
@@ -386,7 +397,8 @@ class _TreeBuilder:
                 if member is not None:
                     sorted_idx = sorted_idx[member[sorted_idx]].reshape(-1, size)
                 state = _SplitState(
-                    self.X, self.w, sorted_idx, self._candidate_features(), params.min_leaf
+                    self.X, self.w, sorted_idx, self._candidate_features(), params.min_leaf,
+                    self.uniform,
                 )
             if self.states is not None:
                 sorted_idx = state.S  # every column: the node's full sorted order
@@ -680,6 +692,7 @@ def fit_gbm(
     trees: list[list[DecisionTree]] = []
     losses = [log_loss(scores, y, w) / w.sum()]
 
+    uniform = bool(w.min() == w.max())  # every state then keeps one weight-cumsum row
     rows, root = slice(None), None  # the trees' rows: all, or each round's subsample
     states = ChainMap()  # child states by path: this round's map, then the last round's
     for _ in range(params.n_rounds):
@@ -687,16 +700,17 @@ def fit_gbm(
         if params.subsample < 1.0:
             m = max(1, int(round(params.subsample * n)))
             rows = rng.choice(n, size=m, replace=False)
-            root = _SplitState.of_rows(X, w, rows, params.min_leaf)
+            root = _SplitState.of_rows(X, w, rows, params.min_leaf, uniform)
             states = ChainMap()  # a new root: no earlier path holds the same rows
         else:
             if root is None:
-                root = _SplitState.of_rows(X, w, None, params.min_leaf)
+                root = _SplitState.of_rows(X, w, None, params.min_leaf, uniform)
             states = ChainMap({}, states.maps[0])
         round_trees = []
         for k in range(K):
             r = residual[:, k]
-            tree, leaf = _TreeBuilder(X, r, w, tree_params, root=root, states=states).build()
+            builder = _TreeBuilder(X, r, w, tree_params, root=root, states=states, uniform=uniform)
+            tree, leaf = builder.build()
             # leaf sums over the fitted rows, added in their order
             leaf_fit, r_fit, w_fit = leaf[rows], r[rows], w[rows]
             num = np.bincount(leaf_fit, w_fit * r_fit, minlength=tree.n_nodes)

@@ -302,6 +302,15 @@ def _impute_row(out: np.ndarray, i: int, donors: KnnDonors, k: int) -> None:
         out[i, miss[n_donors == c]] = values.sum(axis=1) / c
 
 
+def _exact_distances(donors: KnnDonors, cands, r, observed) -> np.ndarray:
+    """The masked distance from each row of r (scaled values, 0 where
+    missing; `observed` their mask) to each training row in the same row of
+    `cands`, to the bit as `_impute_row` computes it."""
+    shared = donors.observed[cands] & observed[:, None, :]
+    diff = (donors.scaled[cands] - r[:, None, :]) * shared
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
 def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: int) -> np.ndarray:
     """Impute in place the `rows` of `out` whose nearest 4 * k candidates a
     Gram screen settles, and return the other rows.
@@ -315,13 +324,16 @@ def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: in
     subnormal) is at least twice that. The screen keeps every training row
     j with d2_j - E_j <= H, H being the 4k-th smallest d2 + E raised by
     8 eps and the smallest normal number, so that square-root rounding
-    cannot tie a row left out with a kept one. When it keeps exactly 4k
-    rows, they are the nearest 4k in `_impute_row`'s stable order, and
-    their exact distances, gathered in index order, sort the same way. A
-    row goes back when it has at most 4k candidates, when the screen keeps
-    more (ties, or rounding too large to decide), when a bound or distance
-    is not finite, or when some missing column has fewer than k donors
-    among the 4k, where the search would widen.
+    cannot tie a row left out with a kept one. The kept rows, at least 4k,
+    then include every row at or below the 4k-th exact distance, ties
+    included, so the first 4k of them by (exact distance, index) are the
+    nearest 4k in `_impute_row`'s stable order. Their exact distances are
+    gathered in index order, padded with +inf to the widest kept set and
+    computed a few rows at a time, so that no more cells are held than for
+    4k candidates per row of the block. A row goes back when it has at
+    most 4k candidates, when a bound or kept distance is not finite, or
+    when some missing column has fewer than k donors among the 4k, where
+    the search would widen.
     """
     m4 = 4 * k
     x = out[rows]
@@ -339,23 +351,31 @@ def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: in
         lo = np.where(shares, d2 - err, np.inf)
         h = np.partition(hi, m4 - 1, axis=1)[:, m4 - 1:m4]
         keep = lo <= h * (1.0 + 8 * _EPS) + np.finfo(np.float64).tiny
-    settled = (
-        (shares.sum(axis=1) > m4)
-        & (keep.sum(axis=1) == m4)
-        & (np.isfinite(hi) | ~shares).all(axis=1)
-    )
+    settled = (shares.sum(axis=1) > m4) & (np.isfinite(hi) | ~shares).all(axis=1)
     fast = np.flatnonzero(settled)
-    # the kept rows, in ascending index order, and their exact distances
-    kept = np.nonzero(keep[fast])[1].reshape(len(fast), m4)
-    shared = donors.observed[kept] & observed[fast, None, :]
-    diff = (donors.scaled[kept] - r[fast, None, :]) * shared
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    cands = np.take_along_axis(kept, np.argsort(dist, axis=1, kind="stable"), axis=1)
+    if not len(fast):
+        return rows
+    # the kept rows, in ascending index order and padded, and their exact
+    # distances, +inf at the padding
+    n_kept = keep[fast].sum(axis=1)
+    real = np.arange(n_kept.max()) < n_kept[:, None]
+    kept = np.zeros(real.shape, dtype=np.intp)
+    kept[real] = np.nonzero(keep[fast])[1]
+    r_fast, observed_fast = r[fast], observed[fast]
+    step = max(1, _KNN_BLOCK * m4 // kept.shape[1])  # at most 4k distances per row of a block
+    parts = [slice(s, s + step) for s in range(0, len(fast), step)]
+    dist = np.concatenate(
+        [_exact_distances(donors, kept[p], r_fast[p], observed_fast[p]) for p in parts]
+    )
+    finite = (np.isfinite(dist) | ~real).all(axis=1)
+    dist[~real] = np.inf
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :m4]
+    cands = np.take_along_axis(kept, nearest, axis=1)
     # each missing cell's first k observing candidates, nearest first
-    cell, col = np.nonzero(~observed[fast])
+    cell, col = np.nonzero(~observed_fast)
     observing = donors.observed[cands[cell], col[:, None]]
     short = np.bincount(cell, observing.sum(axis=1) < k, minlength=len(fast)) > 0
-    settled[fast[short | ~np.isfinite(dist).all(axis=1)]] = False
+    settled[fast[short | ~finite]] = False
     done = settled[fast[cell]]
     cell, col, observing = cell[done], col[done], observing[done]
     take = observing & (np.cumsum(observing, axis=1) <= k)
@@ -384,11 +404,12 @@ def impute_knn(
 
     When there are more than 4 * knn_k training rows, blocks of rows go
     through `_impute_screened`: Gram products bound every distance, and
-    exact distances are computed only for the nearest 4 * knn_k. A row the
-    screen cannot settle (ties at the 4 * knn_k-th candidate, too few
-    candidates, or a column with fewer than knn_k donors among them) takes
-    `_impute_row`, which computes every exact distance. Both give the same
-    bits.
+    exact distances are computed only for the rows it cannot rule out of
+    the nearest 4 * knn_k, ties at the 4 * knn_k-th included. A row the
+    screen cannot settle (too few candidates, a non-finite bound or
+    distance, or a column with fewer than knn_k donors among the nearest
+    4 * knn_k) takes `_impute_row`, which computes every exact distance.
+    Both give the same bits.
     """
     if train.feature_names != apply_to.feature_names:
         raise PreprocessError("train/apply feature mismatch")

@@ -504,7 +504,7 @@ class TestGbmExactness:
         x = np.array([1 - 2**-53, 1.0])
         X = np.column_stack([x, [0.0, 1.0]])
         w = np.ones(2)
-        root = _SplitState.of_rows(X, w, None, 1)
+        root = _SplitState.of_rows(X, w, None, 1, True)
         params = TreeParams(max_depth=1, min_leaf=1)
         tree, leaves = _TreeBuilder(X, np.array([0.0, 1.0]), w, params, root=root).build()
         assert tree.feature[0] == 0 and tree.threshold[0] == 1 - 2**-53
@@ -884,7 +884,7 @@ def textbook_gain(state, y, w, K=None):
     no threshold may fall. Also returns the terms of the rounding bound
     between it and the kernel: Q, the largest P = S^2/W and the largest
     T = SL^2/WL + SR^2/WR over valid positions."""
-    S, cw = state.S, state.cw
+    S, cw = state.S, np.broadcast_to(state.cw, state.S.shape)
     W = cw[:, -1:]
     WR = W - cw
     if K is None:
@@ -918,9 +918,9 @@ def assert_within_bound_of_the_textbook_best(X, y, w, min_leaf, rows=None, K=Non
     the textbook formula share SL^2/WL, SR^2/WR and S^2/W bit for bit and
     differ only in the rounding of their additions, at most 3.5 eps
     (Q + P + T) at each position, whatever the cumsum order."""
-    state = _SplitState.of_rows(X, w, rows, min_leaf)
     task = "regression" if K is None else "classification"
     builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=min_leaf, task=task, n_classes=K))
+    state = _SplitState.of_rows(X, w, rows, min_leaf, builder.uniform)
     with np.errstate(divide="ignore", invalid="ignore"):
         split = builder._best_split(state)
         gain, Q, P, T = textbook_gain(state, y, w, K)
@@ -1009,3 +1009,90 @@ class TestSplitKernel:
             y = 1e3 + (X[:, 0] > np.median(X[:, 0])) + 0.3 * rng.normal(size=n)
             w = rng.exponential(size=n)
             assert_within_bound_of_the_textbook_best(X, y, w, 1)
+
+
+# ---------------------------------------------------------------------------
+# one weight-cumsum row when a fit's weights are all equal
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _uniform_weight_case(draw):
+    """A node under one constant weight c from 1e-300 to 1e6: rounded X, so
+    values tie within and across columns; regression or class targets; some
+    of the rows, and a forest-style subset of the columns."""
+    n, F = draw(st.integers(2, 50)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.normal(size=(n, F)), draw(st.integers(0, 1)))
+    K = draw(st.sampled_from([None, 2, 3]))
+    y = rng.normal(size=n) if K is None else rng.integers(0, K, n)
+    w = np.full(n, draw(st.sampled_from([1e-300, 1e-12, 1.0, 3.0, 1e6])))
+    min_leaf = draw(st.integers(1, 3))
+    rows = None
+    if draw(st.booleans()):
+        rows = np.sort(rng.choice(n, size=draw(st.integers(1, n)), replace=False))
+    cols = np.arange(F)
+    if draw(st.booleans()):
+        cols = np.sort(rng.choice(F, size=draw(st.integers(1, F)), replace=False))
+    return X, y, w, K, min_leaf, rows, cols
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestUniformWeightCumsum:
+    @settings(max_examples=300, deadline=None)
+    @given(_uniform_weight_case())
+    def test_one_row_state_splits_as_the_full_state(self, case):
+        X, y, w, K, min_leaf, rows, cols = case
+        task = "regression" if K is None else "classification"
+        builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=min_leaf, task=task, n_classes=K))
+        S = _SplitState.of_rows(X, w, rows, min_leaf, False).S
+        one, full = (_SplitState(X, w, S, cols, min_leaf, uniform) for uniform in (True, False))
+        assert one.cw.shape == (1, S.shape[1]) and full.cw.shape == (len(cols), S.shape[1])
+        assert np.broadcast_to(one.cw, full.cw.shape).tobytes() == full.cw.tobytes()
+        np.testing.assert_array_equal(one.invalid, full.invalid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, want = builder._best_split(one), builder._best_split(full)
+        if want is None:
+            assert got is None
+            return
+        (feat, thr, gain, n_left, in_left), (feat_, thr_, gain_, n_left_, in_left_) = got, want
+        assert (feat, n_left) == (feat_, n_left_)
+        assert (_bits(thr), _bits(gain)) == (_bits(thr_), _bits(gain_))
+        np.testing.assert_array_equal(in_left, in_left_)
+
+    @staticmethod
+    def _state_shapes(monkeypatch) -> list:
+        """(cw.shape, S.shape) of every state built from now on."""
+        shapes, init = [], _SplitState.__init__
+
+        def recorded(state, *args):
+            init(state, *args)
+            shapes.append((state.cw.shape, state.S.shape))
+
+        monkeypatch.setattr(_SplitState, "__init__", recorded)
+        return shapes
+
+    def test_fits_under_equal_weights_keep_one_row(self, rng, monkeypatch):
+        X = np.round(rng.normal(size=(60, 9)), 1)
+        y = rng.integers(0, 3, 60)
+        shapes = self._state_shapes(monkeypatch)
+        for subsample in (1.0, 0.5):
+            fit_gbm(X, y, params=GbmParams(n_rounds=4, max_depth=3, subsample=subsample))
+        fit_random_forest(X, y, RandomForestParams(n_trees=4, max_depth=4))
+        fit_tree(X, y, np.full(60, 3.0), TreeParams(task="classification"))
+        assert len(shapes) > 10
+        assert all(cw == (1, S[1]) for cw, S in shapes)
+
+    def test_weighted_fits_keep_every_row(self, rng, monkeypatch):
+        X = np.round(rng.normal(size=(60, 9)), 1)
+        y = rng.integers(0, 3, 60)
+        w = np.ones(60)
+        w[7] = 2.0
+        shapes = self._state_shapes(monkeypatch)
+        fit_gbm(X, y, w, params=GbmParams(n_rounds=4, max_depth=3))
+        fit_tree(X, y, w, TreeParams(task="classification"))
+        assert len(shapes) > 10
+        assert all(cw == S for cw, S in shapes)

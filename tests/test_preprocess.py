@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latefuse import preprocess
 from latefuse.integrators import IntegratorSpec, fit_integrator
-from latefuse.learners import GbmParams
+from latefuse.learners import GbmParams, fit_gbm
 from latefuse.preprocess import (
     PreprocessConfig,
     PreprocessError,
@@ -564,6 +564,25 @@ class TestImputeKnn:
         check()
         assert 0 < counts["fallback"] < counts["rows"]
 
+    @pytest.mark.parametrize("distinct, copies", [(14, 3), (1, 42)])
+    def test_gram_path_settles_ties_at_the_last_candidate(
+        self, rng, monkeypatch, distinct, copies
+    ):
+        # every training row comes `copies` times, so the 20th nearest
+        # (4 * knn_k) sits inside a tie; the screen keeps the whole tie (at
+        # 42 copies, every row, in several slices) and no row falls back to
+        # the per-row search
+        calls = []
+        monkeypatch.setattr(preprocess, "_impute_row", lambda *args: calls.append(args))
+        tv = np.repeat(rng.normal(size=(distinct, 6)), copies, axis=0)
+        apply_to = rng.normal(size=(40, 6))
+        apply_to[:, :3] = with_missing(apply_to[:, :3], 0.5, rng)
+        apply_to[:, 0] = np.nan  # columns 3-5 stay observed, so every row has candidates
+        train, target = make_table(values=tv), make_table(values=apply_to)
+        out = impute_knn(train, target, CFG)
+        assert calls == []
+        assert out.values.tobytes() == reference_impute_knn(train, target, CFG).tobytes()
+
     def test_all_missing_training_feature_errors(self):
         train = make_table(values=np.column_stack([np.full(6, np.nan), np.arange(6.0)]))
         target = make_table(values=np.array([[1.0, np.nan]]))
@@ -855,7 +874,8 @@ def _traced_peak_mb(fn):
 
 class TestMemoryBounds:
     """tracemalloc sees numpy's buffers; these bounds fail for the F x F and
-    (m, m, F) temporaries that pruning and SMOTE no longer build."""
+    (m, m, F) temporaries that pruning and SMOTE no longer build, and for a
+    weight cumsum per column in the split states of an unweighted GBM."""
 
     def test_dense_pruning_holds_blocks_not_f_by_f(self, rng):
         table = make_table(values=rng.normal(size=(60, 3000)))
@@ -865,6 +885,12 @@ class TestMemoryBounds:
         reference = rng.normal(size=(410, 400))
         y = np.array([0] * 210 + [1] * 200)
         assert _traced_peak_mb(lambda: _smote_plan(y, reference, 5, rng)) < 8.0
+
+    def test_default_gbm_keeps_one_weight_cumsum_row(self, rng):
+        # 80 x 200, K = 4, 100 rounds of depth 3: 4.0 MB, and 6.2 MB with an
+        # (F, m) weight cumsum in every state
+        X, y = rng.normal(size=(80, 200)), rng.integers(0, 4, 80)
+        assert _traced_peak_mb(lambda: fit_gbm(X, y, params=GbmParams())) < 4.5
 
 
 class TestFittedPreprocessor:
