@@ -30,10 +30,11 @@ as one row, which every use broadcasts; a fit decides this once, not per
 node. One kernel scores every valid position of both tasks: over weighted
 targets t (w * y for regression, w * onehot_k for each class k of a Gini
 tree), gain = sum_t (SL_t^2/WL + SR_t^2/WR - S_t^2/W), from one gather and
-one cumsum per target. This is the node's impurity minus both sides', as
-the weighted SSE (Chen & Guestrin, KDD 2016, eq. 7) or the Gini decrease of
-CART; where two candidates' gains differ by rounding alone, it may pick
-another split than the textbook difference would. The GBM does each piece of
+one cumsum over the (targets, columns, rows) stack of all targets. This is
+the node's impurity minus both sides', as the weighted SSE (Chen &
+Guestrin, KDD 2016, eq. 7) or the Gini decrease of CART; where two
+candidates' gains differ by rounding alone, it may pick another split than
+the textbook difference would. The GBM does each piece of
 tree work once: the class trees of a round share their root's state; and a
 child's state, which depends only on the root and the node's path of
 (feature, n_left, side) steps, is kept by that path and reused by the trees
@@ -229,15 +230,16 @@ class DecisionTree:
 class _SplitState:
     """The part of a node's split search that does not depend on its
     targets, feature-major: row j of `S` holds the node's rows in the sorted
-    order of candidate column `cols[j]`, `cw` their weight cumsum, and
-    `invalid` marks the positions after which a threshold may not fall
-    (between equal neighbours, with fewer than `min_leaf` rows or no
+    order of candidate column `cols[j]`, `cw` their weight cumsum,
+    `cw_right` the weight to the right of each position (cw's end minus
+    cw), and `invalid` marks the positions after which a threshold may not
+    fall (between equal neighbours, with fewer than `min_leaf` rows or no
     positive weight on a side; the last position always). Each array is
     (len(cols), rows) and C-contiguous, so each column's scan runs along one
     contiguous row and whole-array arithmetic runs as one flat loop; the
-    one exception is `cw` of uniform weights, a single (1, rows) row that
-    equals every column's cumsum bit for bit and broadcasts against the
-    others.
+    one exception is `cw` and `cw_right` of uniform weights, a single
+    (1, rows) row each that equals every column's bit for bit and
+    broadcasts against the others.
     """
 
     def __init__(self, X, w, sorted_idx, cols, min_leaf, uniform):
@@ -255,7 +257,8 @@ class _SplitState:
         valid = np.zeros(S.shape, dtype=bool)
         np.less(Xs[:, :-1], Xs[:, 1:], out=valid[:, :-1])
         valid &= cw > 0
-        valid &= cw[:, -1:] - cw > 0
+        self.cw_right = cw[:, -1:] - cw
+        valid &= self.cw_right > 0
         valid[:, : max(min_leaf - 1, 0)] = False  # fewer than min_leaf rows on the left
         valid[:, max(S.shape[1] - min_leaf, 0) :] = False  # ... or on the right
         self.invalid = np.logical_not(valid, out=valid)
@@ -439,33 +442,36 @@ class _TreeBuilder:
         the cumsum of target t along a column's sorted rows, SR_t = S_t - SL_t
         and S_t that cumsum's end. This is the parent's impurity minus both
         children's: QL + QR is the node's total Q = sum(w * y^2) for
-        regression, and WL + WR = W for Gini."""
-        S, cw = state.S, state.cw
-        sq_l = sq_r = None  # sum_t SL_t^2, sum_t SR_t^2: the first target's arrays, no zero fill
-        for t in self.w_targets:
-            SL = t.take(S)
-            SL.cumsum(axis=1, out=SL)
-            SR = SL[:, -1:] - SL
-            SR *= SR
-            SL *= SL
-            if sq_l is None:
-                sq_l, sq_r = SL, SR
-            else:
-                sq_l += SL
-                sq_r += SR
-        sq_l /= cw  # at the last position, where SL_t = S_t: sum_t S_t^2 / W
-        sq_r /= cw[:, -1:] - cw
+        regression, and WL + WR = W for Gini. Every target is gathered and
+        cumsummed in one call on a (targets, columns, rows) stack, the sums
+        over t add the targets in order, and one argmax over the row-major
+        (columns, rows) gains takes the first maximum."""
+        S = state.S
+        SL = self.w_targets.take(S, axis=1)  # (targets, columns, rows)
+        SL.cumsum(axis=2, out=SL)
+        SR = SL[:, :, -1:] - SL
+        SR *= SR
+        SL *= SL
+        # summed over the targets in order, as a running sum would; a lone
+        # target (every GBM tree) is its own sum
+        if len(SL) == 1:
+            sq_l, sq_r = SL[0], SR[0]
+        else:
+            sq_l, sq_r = np.add.reduce(SL, axis=0), np.add.reduce(SR, axis=0)
+        sq_l /= state.cw  # at the last position, where SL_t = S_t: sum_t S_t^2 / W
+        sq_r /= state.cw_right
         gain = sq_r
         gain += sq_l
         gain -= sq_l[:, -1:]
         # every position's gain, in whole rows; the last position is invalid
         np.putmask(gain, state.invalid, -np.inf)
-        best_pos = gain.argmax(axis=1)  # first max -> lowest threshold
-        best_gain = gain[self.all_cols[: len(S)], best_pos]
-        if not np.isfinite(best_gain).any():
+        # the first maximum in row-major order: lowest feature, then lowest threshold
+        j, i = divmod(int(gain.argmax()), gain.shape[1])
+        best = gain[j, i]
+        # argmax puts a NaN first; with a NaN, +inf or only -inf at the top,
+        # there is a split only when some column's best gain is finite
+        if not np.isfinite(best) and not np.isfinite(gain.max(axis=1)).any():
             return None
-        j = int(best_gain.argmax())  # first max -> lowest feature index
-        i = int(best_pos[j])
         feat = int(state.cols[j])
         lo, hi = self.X[S[j, i : i + 2], feat]
         thr = float((lo + hi) / 2.0)
@@ -474,7 +480,7 @@ class _TreeBuilder:
         # left membership; children partition every column's order by it (stable)
         in_left = np.zeros(self.X.shape[0], dtype=bool)
         in_left[S[j, : i + 1]] = True
-        return feat, thr, float(max(best_gain[j], 0.0)), i + 1, in_left
+        return feat, thr, float(max(best, 0.0)), i + 1, in_left
 
 
 def _fit_inputs(X, y, sample_weight=None, n_classes=None, labels=True):

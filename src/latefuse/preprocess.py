@@ -311,6 +311,38 @@ def _exact_distances(donors: KnnDonors, cands, r, observed) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def _ordered_by_bounds(kept, real, d2, lo, hi):
+    """Each row's kept training rows (`kept` where `real` marks them, in
+    ascending index order, then padding) sorted by d2, ties by index,
+    padding last; and whether that order is the exact one. It is where
+    sqrt(hi_a) < sqrt(lo_b) for every consecutive pair a, b of kept rows:
+    lo <= exact squared distance <= hi, and a correctly rounded square root
+    is monotone, so the exact distances then rise strictly along the order.
+    A negative lo, whose root is NaN, counts as an overlap."""
+    key = np.where(real, np.take_along_axis(d2, kept, axis=1), np.inf)
+    cands = np.take_along_axis(kept, np.argsort(key, axis=1, kind="stable"), axis=1)
+    with np.errstate(invalid="ignore"):
+        apart = np.sqrt(np.take_along_axis(hi, cands[:, :-1], axis=1)) < np.sqrt(
+            np.take_along_axis(lo, cands[:, 1:], axis=1)
+        )
+    return cands, (apart | ~real[:, 1:]).all(axis=1)
+
+
+def _exact_nearest(donors: KnnDonors, kept, real, r, observed, m4: int):
+    """Whether each row's kept distances are finite, and its nearest `m4`
+    kept rows by (exact distance, index). `kept` holds each row's kept
+    training rows in ascending index order, where `real` marks them, and
+    padding beyond; distances are computed a few rows at a time, so that no
+    more cells are held than for m4 candidates per row of a block."""
+    step = max(1, _KNN_BLOCK * m4 // kept.shape[1])
+    parts = [slice(s, s + step) for s in range(0, len(kept), step)]
+    dist = np.concatenate([_exact_distances(donors, kept[p], r[p], observed[p]) for p in parts])
+    finite = (np.isfinite(dist) | ~real).all(axis=1)
+    dist[~real] = np.inf
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :m4]
+    return finite, np.take_along_axis(kept, nearest, axis=1)
+
+
 def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: int) -> np.ndarray:
     """Impute in place the `rows` of `out` whose nearest 4 * k candidates a
     Gram screen settles, and return the other rows.
@@ -327,11 +359,11 @@ def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: in
     cannot tie a row left out with a kept one. The kept rows, at least 4k,
     then include every row at or below the 4k-th exact distance, ties
     included, so the first 4k of them by (exact distance, index) are the
-    nearest 4k in `_impute_row`'s stable order. Their exact distances are
-    gathered in index order, padded with +inf to the widest kept set and
-    computed a few rows at a time, so that no more cells are held than for
-    4k candidates per row of the block. A row goes back when it has at
-    most 4k candidates, when a bound or kept distance is not finite, or
+    nearest 4k in `_impute_row`'s stable order. Sorted by d2, the kept rows
+    are already in that order when no two consecutive ones have overlapping
+    bounds (`_ordered_by_bounds`), and exact distances are computed only for
+    the rows where some do (`_exact_nearest`). A row goes back when it has
+    at most 4k candidates, when a bound or kept distance is not finite, or
     when some missing column has fewer than k donors among the 4k, where
     the search would widen.
     """
@@ -355,33 +387,32 @@ def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: in
     fast = np.flatnonzero(settled)
     if not len(fast):
         return rows
-    # the kept rows, in ascending index order and padded, and their exact
-    # distances, +inf at the padding
+    # the kept rows, in ascending index order and padded
     n_kept = keep[fast].sum(axis=1)
     real = np.arange(n_kept.max()) < n_kept[:, None]
     kept = np.zeros(real.shape, dtype=np.intp)
     kept[real] = np.nonzero(keep[fast])[1]
-    r_fast, observed_fast = r[fast], observed[fast]
-    step = max(1, _KNN_BLOCK * m4 // kept.shape[1])  # at most 4k distances per row of a block
-    parts = [slice(s, s + step) for s in range(0, len(fast), step)]
-    dist = np.concatenate(
-        [_exact_distances(donors, kept[p], r_fast[p], observed_fast[p]) for p in parts]
-    )
-    finite = (np.isfinite(dist) | ~real).all(axis=1)
-    dist[~real] = np.inf
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :m4]
-    cands = np.take_along_axis(kept, nearest, axis=1)
-    # each missing cell's first k observing candidates, nearest first
-    cell, col = np.nonzero(~observed_fast)
-    observing = donors.observed[cands[cell], col[:, None]]
+    cands, ordered = _ordered_by_bounds(kept, real, d2[fast], lo[fast], hi[fast])
+    cands = cands[:, :m4]
+    finite = np.ones(len(fast), dtype=bool)  # a kept row's bound, so its distance, is finite
+    exact = np.flatnonzero(~ordered)
+    if len(exact):
+        finite[exact], cands[exact] = _exact_nearest(
+            donors, kept[exact], real[exact], r[fast[exact]], observed[fast[exact]], m4
+        )
+    # each missing cell's first k observing candidates, nearest first, by
+    # their flat index into the training table
+    cell, col = np.nonzero(~observed[fast])
+    flat = cands[cell] * donors.values.shape[1] + col[:, None]
+    observing = donors.observed.ravel().take(flat)
     short = np.bincount(cell, observing.sum(axis=1) < k, minlength=len(fast)) > 0
     settled[fast[short | ~finite]] = False
     done = settled[fast[cell]]
-    cell, col, observing = cell[done], col[done], observing[done]
+    cell, col, flat, observing = cell[done], col[done], flat[done], observing[done]
     take = observing & (np.cumsum(observing, axis=1) <= k)
     # k donors per cell, nearest first along one contiguous row, as in
     # `_impute_row`
-    donor_values = donors.values[cands[cell], col[:, None]][take].reshape(-1, k)
+    donor_values = donors.values.ravel().take(flat[take]).reshape(-1, k)
     out[rows[fast[cell]], col] = donor_values.sum(axis=1) / k
     return rows[~settled]
 
@@ -403,13 +434,14 @@ def impute_knn(
     imputes several tables from one training split.
 
     When there are more than 4 * knn_k training rows, blocks of rows go
-    through `_impute_screened`: Gram products bound every distance, and
-    exact distances are computed only for the rows it cannot rule out of
-    the nearest 4 * knn_k, ties at the 4 * knn_k-th included. A row the
-    screen cannot settle (too few candidates, a non-finite bound or
-    distance, or a column with fewer than knn_k donors among the nearest
-    4 * knn_k) takes `_impute_row`, which computes every exact distance.
-    Both give the same bits.
+    through `_impute_screened`: Gram products bound every distance, which
+    rules out all but the nearest 4 * knn_k and a few more, ties at the
+    4 * knn_k-th included, and mostly also fixes their order. Exact
+    distances are computed only for the rows whose kept candidates' bounds
+    overlap. A row the screen cannot settle (too few candidates, a
+    non-finite bound or distance, or a column with fewer than knn_k donors
+    among the nearest 4 * knn_k) takes `_impute_row`, which computes every
+    exact distance. Both give the same bits.
     """
     if train.feature_names != apply_to.feature_names:
         raise PreprocessError("train/apply feature mismatch")

@@ -1041,6 +1041,17 @@ def _bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
+def assert_same_split(got, want):
+    """Two `_best_split` results agree on every field, floats to the bit."""
+    if want is None:
+        assert got is None
+        return
+    (feat, thr, gain, n_left, in_left), (feat_, thr_, gain_, n_left_, in_left_) = got, want
+    assert (feat, n_left) == (feat_, n_left_)
+    assert (_bits(thr), _bits(gain)) == (_bits(thr_), _bits(gain_))
+    np.testing.assert_array_equal(in_left, in_left_)
+
+
 class TestUniformWeightCumsum:
     @settings(max_examples=300, deadline=None)
     @given(_uniform_weight_case())
@@ -1054,14 +1065,7 @@ class TestUniformWeightCumsum:
         assert np.broadcast_to(one.cw, full.cw.shape).tobytes() == full.cw.tobytes()
         np.testing.assert_array_equal(one.invalid, full.invalid)
         with np.errstate(divide="ignore", invalid="ignore"):
-            got, want = builder._best_split(one), builder._best_split(full)
-        if want is None:
-            assert got is None
-            return
-        (feat, thr, gain, n_left, in_left), (feat_, thr_, gain_, n_left_, in_left_) = got, want
-        assert (feat, n_left) == (feat_, n_left_)
-        assert (_bits(thr), _bits(gain)) == (_bits(thr_), _bits(gain_))
-        np.testing.assert_array_equal(in_left, in_left_)
+            assert_same_split(builder._best_split(one), builder._best_split(full))
 
     @staticmethod
     def _state_shapes(monkeypatch) -> list:
@@ -1096,3 +1100,118 @@ class TestUniformWeightCumsum:
         fit_tree(X, y, w, TreeParams(task="classification"))
         assert len(shapes) > 10
         assert all(cw == S for cw, S in shapes)
+
+
+# ---------------------------------------------------------------------------
+# one kernel pass over every target
+# ---------------------------------------------------------------------------
+
+
+def reference_best_split(builder, state):
+    """`_best_split` as a loop over the targets, each gathered and
+    cumsummed on its own and added to running sums, with a per-column
+    argmax and then one over the columns' best gains."""
+    S, cw = state.S, state.cw
+    sq_l = sq_r = None
+    for t in builder.w_targets:
+        SL = t.take(S).cumsum(axis=1)
+        SR = SL[:, -1:] - SL
+        if sq_l is None:
+            sq_l, sq_r = SL * SL, SR * SR
+        else:
+            sq_l += SL * SL
+            sq_r += SR * SR
+    sq_l /= cw
+    sq_r /= cw[:, -1:] - cw
+    gain = sq_r + sq_l - sq_l[:, -1:]
+    gain[state.invalid] = -np.inf
+    best_pos = gain.argmax(axis=1)
+    best_gain = gain[np.arange(len(S)), best_pos]
+    if not np.isfinite(best_gain).any():
+        return None
+    j = int(best_gain.argmax())
+    i = int(best_pos[j])
+    feat = int(state.cols[j])
+    lo, hi = builder.X[S[j, i : i + 2], feat]
+    thr = float((lo + hi) / 2.0)
+    if thr >= hi:
+        thr = float(lo)
+    in_left = np.zeros(len(builder.X), dtype=bool)
+    in_left[S[j, : i + 1]] = True
+    return feat, thr, float(max(best_gain[j], 0.0)), i + 1, in_left
+
+
+def _kernel_split(X, y, w, K, min_leaf, rows=None, cols=None):
+    """`_best_split` and `reference_best_split` at one node."""
+    task = "regression" if K is None else "classification"
+    builder = _TreeBuilder(X, y, w, TreeParams(min_leaf=min_leaf, task=task, n_classes=K))
+    S = _SplitState.of_rows(X, w, rows, min_leaf, builder.uniform).S
+    cols = np.arange(X.shape[1]) if cols is None else cols
+    state = _SplitState(X, w, S, cols, min_leaf, builder.uniform)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return builder._best_split(state), reference_best_split(builder, state)
+
+
+@st.composite
+def _kernel_case(draw):
+    """A regression node, or a Gini node of 1 to 12 classes, under equal
+    weights or unequal ones (some zero), with values tied within and
+    across columns; some of the rows, and a subset of the columns."""
+    n, F = draw(st.integers(2, 50)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.round(rng.normal(size=(n, F)), draw(st.integers(0, 2)))
+    K = draw(st.one_of(st.none(), st.integers(1, 12)))
+    if K is None:
+        y = rng.normal(size=n) * draw(st.sampled_from([1.0, 1e-12, 1e100]))
+    else:
+        y = rng.integers(0, K, n)
+    weights = draw(st.sampled_from(["equal", "exponential", "levels"]))
+    if weights == "equal":
+        w = np.full(n, draw(st.sampled_from([1e-300, 1.0, 3.0, 1e6])))
+    elif weights == "exponential":
+        w = rng.exponential(size=n)
+    else:
+        w = _WEIGHT_LEVELS[rng.integers(0, len(_WEIGHT_LEVELS), n)]
+        w[rng.integers(n)] = 1.0  # not all zero
+    min_leaf = draw(st.integers(1, 3))
+    rows = None
+    if draw(st.booleans()):
+        rows = np.sort(rng.choice(n, size=draw(st.integers(1, n)), replace=False))
+    cols = None
+    if draw(st.booleans()):
+        cols = np.sort(rng.choice(F, size=draw(st.integers(1, F)), replace=False))
+    return X, y, w, K, min_leaf, rows, cols
+
+
+class TestOnePassKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_case())
+    def test_matches_the_per_target_loop(self, case):
+        assert_same_split(*_kernel_split(*case))
+
+    def test_no_valid_position(self, rng):
+        # constant columns: no threshold may fall anywhere
+        X = np.ones((10, 3))
+        for K in (None, 3):
+            y = rng.normal(size=10) if K is None else rng.integers(0, 3, 10)
+            got, want = _kernel_split(X, y, np.ones(10), K, 1)
+            assert got is None and want is None
+
+    def test_squares_that_overflow(self, rng):
+        X = rng.normal(size=(8, 4))
+        w = np.ones(8)
+        # S^2 overflows in every column, so every valid gain is inf - inf
+        got, want = _kernel_split(X, np.full(8, 1e200), w, None, 1)
+        assert got is None and want is None
+        # partial sums of +-1e154 stay below overflow in column 0, whose
+        # signs alternate, and overflow where column 1 puts two of one sign
+        # first: a split of infinite gain in column 1
+        y = np.array([1e154, -1e154, 1e154, -1e154, 0.5, 0.25, 0.0, 0.0])
+        X[:, 0] = np.arange(8)
+        X[:, 1] = [0, 2, 1, 3, 4, 5, 6, 7]
+        got, want = _kernel_split(X, y, w, None, 1)
+        assert want is not None and want[0] == 1 and want[2] == np.inf
+        assert_same_split(got, want)
+        # with unequal weights too
+        got, want = _kernel_split(X, y, w + np.arange(8) / 8, None, 1)
+        assert_same_split(got, want)

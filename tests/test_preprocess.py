@@ -525,14 +525,21 @@ class TestImputeKnn:
         """More training rows than 4 * knn_k, so blocks of rows go through the
         Gram screen; over the run, some rows are settled by it and some fall
         back to the per-row search."""
-        counts = {"fallback": 0, "rows": 0}
-        per_row = preprocess._impute_row
+        counts = {"fallback": 0, "rows": 0, "bounds-ordered": 0, "exact-ordered": 0}
+        per_row, by_bounds = preprocess._impute_row, preprocess._ordered_by_bounds
 
         def counted(out, i, donors, k):
             counts["fallback"] += 1
             per_row(out, i, donors, k)
 
+        def counted_order(*args):
+            cands, ordered = by_bounds(*args)
+            counts["bounds-ordered"] += int(ordered.sum())
+            counts["exact-ordered"] += int((~ordered).sum())
+            return cands, ordered
+
         monkeypatch.setattr(preprocess, "_impute_row", counted)
+        monkeypatch.setattr(preprocess, "_ordered_by_bounds", counted_order)
 
         @settings(max_examples=80, deadline=None)
         @given(
@@ -563,6 +570,9 @@ class TestImputeKnn:
 
         check()
         assert 0 < counts["fallback"] < counts["rows"]
+        # the screen's candidates come in both orders: from the bounds alone,
+        # and from exact distances where the bounds overlap
+        assert counts["bounds-ordered"] > 0 and counts["exact-ordered"] > 0
 
     @pytest.mark.parametrize("distinct, copies", [(14, 3), (1, 42)])
     def test_gram_path_settles_ties_at_the_last_candidate(
@@ -581,6 +591,32 @@ class TestImputeKnn:
         train, target = make_table(values=tv), make_table(values=apply_to)
         out = impute_knn(train, target, CFG)
         assert calls == []
+        assert out.values.tobytes() == reference_impute_knn(train, target, CFG).tobytes()
+
+    @pytest.mark.parametrize("twins", [None, "duplicated", "one ulp apart"])
+    def test_exact_distances_only_where_bounds_overlap(self, rng, monkeypatch, twins):
+        # distinct training rows: the Gram bounds order every row's
+        # candidates; a training row repeated, or repeated one ulp up, has
+        # the same bounds as its twin, so exact distances must order them
+        tv = with_missing(rng.normal(size=(30, 8)), 0.1, rng)
+        twin = {
+            None: with_missing(rng.normal(size=(30, 8)), 0.1, rng),
+            "duplicated": tv,
+            "one ulp apart": np.nextafter(tv, np.inf),
+        }[twins]
+        train = make_table(values=np.vstack([tv, twin]))
+        target = make_table(values=with_missing(rng.normal(size=(40, 8)), 0.2, rng))
+        calls, fallback, exact = [], [], preprocess._exact_distances
+
+        def recorded(donors, cands, r, observed):
+            calls.append(len(cands))
+            return exact(donors, cands, r, observed)
+
+        monkeypatch.setattr(preprocess, "_exact_distances", recorded)
+        monkeypatch.setattr(preprocess, "_impute_row", lambda *args: fallback.append(args))
+        out = impute_knn(train, target, CFG)
+        assert fallback == []
+        assert (calls == []) == (twins is None)
         assert out.values.tobytes() == reference_impute_knn(train, target, CFG).tobytes()
 
     def test_all_missing_training_feature_errors(self):

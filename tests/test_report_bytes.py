@@ -219,14 +219,23 @@ def test_imputation_report_bytes_unchanged(tmp_path, monkeypatch):
         screened.append((len(rows), len(left)))
         return left
 
+    exact, distances = [], preprocess._exact_distances
+
+    def recorded_distances(donors, cands, r, observed):
+        exact.append(len(cands))
+        return distances(donors, cands, r, observed)
+
     monkeypatch.setattr(preprocess, "_impute_screened", recorded_screen)
+    monkeypatch.setattr(preprocess, "_exact_distances", recorded_distances)
     _run(tmp_path, monkeypatch, IMPUTE_CONFIG)
     _assert_digest(tmp_path, IMPUTE_SHA256)
     # the training and test rows with a missing cell, of both modalities in
-    # both folds: the screen settles every one
+    # both folds: the screen settles every one, and its Gram bounds alone
+    # put every row's candidates in their exact order
     assert len(screened) == 8
     assert sum(n for n, _ in screened) == 232
     assert all(left == 0 for _, left in screened)
+    assert exact == []
 
 
 def test_wide_split_search_report_bytes_unchanged(tmp_path, monkeypatch):
