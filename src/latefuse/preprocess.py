@@ -9,6 +9,7 @@ statistics. Operations are pure functions of (inputs, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -83,49 +84,8 @@ def filter_sparse(table: ModalityTable, cfg: PreprocessConfig) -> ModalityTable:
     return table.take_columns(np.flatnonzero(keep))
 
 
-def _pairwise_complete_correlation(values: np.ndarray) -> np.ndarray:
-    """Pearson correlation matrix over pairwise-complete observations.
-
-    Pairs with fewer than 3 shared observations or zero variance get r = 0.
-    Each F x F step writes into one of five F x F arrays, in the order and
-    with the operations of cov / sqrt(var_i * var_j).
-    """
-    mask = (~np.isnan(values)).astype(np.float64)
-    x = np.where(np.isnan(values), 0.0, values)
-    n = mask.T @ mask
-    sx = x.T @ mask
-    var = (x * x).T @ mask  # sxx, then var_i
-    r = x.T @ x  # sxy, then cov, then r
-    del mask, x
-    step = np.empty_like(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(sx, sx.T, out=step)
-        step /= n
-        r -= step  # cov = sxy - sx * sx.T / n
-        np.multiply(sx, sx, out=step)
-        step /= n
-        var -= step  # var_i = sxx - sx * sx / n
-        del sx
-        np.multiply(var, var.T, out=step)  # var_j = var_i.T
-        np.sqrt(step, out=step)
-        r /= step
-    r[~np.isfinite(r)] = 0.0
-    r[n < 3] = 0.0
-    np.clip(r, -1.0, 1.0, out=r)
-    return r
-
-
 # columns per block of correlation rows, so that pruning holds F x B, not F x F
 _PRUNE_BLOCK = 128
-
-
-def _lower_abs(r: np.ndarray, a: int) -> np.ndarray:
-    """Rows j = a, a+1, ... of a correlation matrix (columns i from 0) made
-    |r| in place, with 0 at every i >= j, which the greedy pass never reads."""
-    np.abs(r, out=r)
-    rows = len(r)
-    r[:, a : a + rows][np.triu_indices(rows)] = 0.0
-    return r
 
 
 def _greedy_pass(high: np.ndarray, a: int, keep: np.ndarray) -> None:
@@ -139,62 +99,97 @@ def _greedy_pass(high: np.ndarray, a: int, keep: np.ndarray) -> None:
             keep[j] = False
 
 
-def _dense_keep(values: np.ndarray, threshold: float) -> np.ndarray | None:
-    """The greedy pass's kept columns for a table with no missing cell, from
-    Gram products of centred unit-norm columns, one block of _PRUNE_BLOCK
-    rows of |r| at a time; None where a comparison could disagree with
-    `_pairwise_complete_correlation`.
-
-    The pairwise formula subtracts uncentred sums, so its r is off by up to
-    about n * eps * kappa, where kappa = sum(x^2) / sum(xc^2) is a column's
-    conditioning. With tol = 64 * n * eps, the comparison is left to that
-    formula when n < 3, when some column is near-constant
-    (sum(xc^2) <= tol * sum(x^2)), or when some |r| of a pair the greedy
-    pass reads (i < j) lies within tol * max(kappa) of the threshold. A
-    block with such a pair sends the whole table to the formula, even after
-    earlier blocks have been decided.
-    """
-    n, f = values.shape
-    if n < 3 or not np.isfinite(values).all():
-        return None
-    tol = 64 * n * np.finfo(np.float64).eps
-    z = values - values.mean(axis=0)
-    centred = np.einsum("ij,ij->j", z, z)
-    raw = np.einsum("ij,ij->j", values, values)
-    if (centred <= tol * raw).any():
-        return None
-    z /= np.sqrt(centred)
-    margin = tol * float((raw / centred).max())
-    keep = np.ones(f, dtype=bool)
-    for a in range(0, f, _PRUNE_BLOCK):
-        b = min(a + _PRUNE_BLOCK, f)
-        r = _lower_abs(z[:, a:b].T @ z[:, :b], a)
-        high = r > threshold + margin
-        if (high != (r > threshold - margin)).any():
-            return None
-        _greedy_pass(high, a, keep)
-    return keep
+def _exceeds_exactly(x: np.ndarray, y: np.ndarray, threshold: float) -> bool:
+    """Whether |Pearson r| of two columns' shared cells exceeds threshold, in
+    exact rational arithmetic: |r| > t <=> cov^2 > t^2 * var_x * var_y. Fewer
+    than 3 shared cells, or a variance of 0, give r = 0."""
+    if len(x) < 3:
+        return False
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    k, sx, sy = len(x), sum(x), sum(y)
+    cov = k * sum(u * v for u, v in zip(x, y)) - sx * sy
+    var_x = k * sum(u * u for u in x) - sx * sx
+    var_y = k * sum(v * v for v in y) - sy * sy
+    return cov * cov > Fraction(threshold) ** 2 * var_x * var_y
 
 
 def prune_correlated(table: ModalityTable, cfg: PreprocessConfig) -> ModalityTable:
     """Greedy pass in column order: drop the later column of each highly
-    correlated pair (|pairwise-complete Pearson r| > threshold).
+    correlated pair, |pairwise-complete Pearson r| > threshold, exactly.
 
-    A table with no missing cell takes the dense `_dense_keep` path, which
-    keeps the same columns while holding F x _PRUNE_BLOCK correlations at a
-    time. Other tables get the F x F pairwise-complete matrix, whose rows go
-    through the same greedy pass in blocks."""
-    f = table.n_features
-    if f < 2:
-        return table
+    Columns with fewer than 3 observed cells, or one observed value, have
+    r = 0 with every column and are kept, as is every column at threshold
+    1. The others are shifted and scaled
+    to unit norm, and |r| is formed for _PRUNE_BLOCK columns at a time
+    against every column before them: from one Gram product per block when
+    no cell is missing, and otherwise from each pair's shared-row count,
+    sums and sums of squares, corrected over the rows that hold a missing
+    cell. A pair whose |r| lies within the rounding bound of the threshold
+    is decided in exact arithmetic. Memory is about n x F plus five
+    F x _PRUNE_BLOCK floats."""
+    values, f = table.values, table.n_features
+    observed = ~np.isnan(values)
+    count = observed.sum(axis=0)
+    lowest = np.fmin.reduce(values, axis=0, initial=np.inf)  # skips nan
+    active = (count >= 3) & (lowest < np.fmax.reduce(values, axis=0, initial=-np.inf))
     threshold = cfg.correlation_threshold
-    keep = _dense_keep(table.values, threshold)
-    if keep is None:
-        r = _pairwise_complete_correlation(table.values)
-        keep = np.ones(f, dtype=bool)
-        for a in range(0, f, _PRUNE_BLOCK):
-            b = min(a + _PRUNE_BLOCK, f)
-            _greedy_pass(_lower_abs(r[a:b, :b], a) > threshold, a, keep)
+    if active.sum() < 2 or threshold >= 1.0:  # no |r| exceeds 1
+        return table
+    z = np.where(observed & active, values, 0.0)
+    for _ in range(2):  # the second shift takes out most of the first one's rounding
+        np.subtract(z, z.sum(axis=0) / np.maximum(count, 1), out=z, where=observed)
+    # scaled by the largest |z| first, so that no square over- or underflows
+    z /= np.where(active, np.maximum(z.max(axis=0), -z.min(axis=0)), 1.0)
+    z /= np.sqrt(np.where(active, np.einsum("ij,ij->j", z, z), 1.0))
+    # In units of a unit-norm column, a sum of at most n + 8 terms is off by
+    # at most g = (n + 8) * eps times the sum of its terms' magnitudes, which
+    # also covers the rounding of the shift and the scale; so a column's sum
+    # of squares is 1 within g. The pass takes each column's observed sum as
+    # 0, and sigma bounds how far that is off. Then err = 5g + 5 sigma +
+    # 4 sigma^2 bounds the error of every pair's covariance and variances,
+    # and |r| lies within 2 err (1 / var_j + 1 / var_i) of the exact |r|.
+    g = (len(z) + 8) * np.finfo(np.float64).eps
+    sigma = np.abs(z.sum(axis=0)).max() + g * np.sqrt(len(z))
+    err = 5 * g + 5 * sigma + 4 * sigma**2
+    gappy = ~observed.all(axis=1)
+    zg, miss = z[gappy], (~observed[gappy]).astype(np.float64)
+    zg2 = zg * zg
+    lower = np.tri(_PRUNE_BLOCK, _PRUNE_BLOCK, -1, dtype=bool)
+    keep = np.ones(f, dtype=bool)
+    for a in range(0, f, _PRUNE_BLOCK):
+        b = min(a + _PRUNE_BLOCK, f)
+        r = z[:, a:b].T @ z[:, :b]
+        var_j = var_i = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if len(zg):
+                # k counts a pair's shared rows. Over them, a column's sum is
+                # its observed sum (0) less its cells whose partner is
+                # missing, and its sum of squares is 1 less theirs; sj and si
+                # are minus the sums over sqrt(k). The dels keep at most five
+                # blocks alive.
+                k = miss[:, a:b].T @ miss[:, :b] + (count[a:b, None] + count[:b] - len(z))
+                r[k < 3] = np.nan  # r = 0, which the exact test gives
+                np.sqrt(k, out=k)
+                sj = zg[:, a:b].T @ miss[:, :b] / k
+                si = miss[:, a:b].T @ zg[:, :b] / k
+                del k
+                r -= sj * si
+                var_j = 1.0 - zg2[:, a:b].T @ miss[:, :b] - sj * sj
+                del sj
+                var_i = 1.0 - miss[:, a:b].T @ zg2[:, :b] - si * si
+                del si
+                r /= np.sqrt(var_j) * np.sqrt(var_i)  # nan or inf at a variance <= 0
+            margin = 2 * err * (1.0 / var_j + 1.0 / var_i)
+        np.abs(r, out=r)
+        high = r > threshold + margin
+        unsure = ~(high | (r <= threshold - margin))  # also where r is nan
+        high[:, a:b] &= lower[: b - a, : b - a]
+        unsure[:, a:b] &= lower[: b - a, : b - a]
+        if unsure.any():
+            for l, i in zip(*np.nonzero(unsure)):
+                shared = observed[:, a + l] & observed[:, i]
+                high[l, i] = _exceeds_exactly(values[shared, a + l], values[shared, i], threshold)
+        _greedy_pass(high, a, keep)
     return table.take_columns(np.flatnonzero(keep))
 
 

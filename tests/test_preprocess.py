@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from latefuse.preprocess import (
     filter_sparse,
     fit_preprocessor,
     impute_knn,
-    _pairwise_complete_correlation,
     _smote_plan,
     _train_scale,
     normalize,
@@ -89,149 +90,180 @@ class TestPruneCorrelated:
         assert prune_correlated(table, CFG).n_features == 4
 
 
+def _exact_column(values):
+    """A column's cells as integers over one power-of-two denominator, which
+    every float has and r does not depend on; None at a missing cell."""
+    ratios = [None if np.isnan(v) else Fraction(v).as_integer_ratio() for v in values]
+    scale = max((q for _, q in filter(None, ratios)), default=1)
+    return [None if pq is None else pq[0] * (scale // pq[1]) for pq in ratios]
+
+
+def exact_r_squared(x, y):
+    """Pearson r^2 of x and y as a Fraction: cov^2 / (var_x * var_y), and 0
+    below 3 cells or at a variance of 0."""
+    k = len(x)
+    if k < 3:
+        return Fraction(0)
+    sx, sy = sum(x), sum(y)
+    cov = k * sum(u * v for u, v in zip(x, y)) - sx * sy
+    var_x = k * sum(u * u for u in x) - sx * sx
+    var_y = k * sum(v * v for v in y) - sy * sy
+    return Fraction(cov * cov, var_x * var_y) if var_x and var_y else Fraction(0)
+
+
 def reference_prune_correlated(table, cfg):
-    """The pairwise-complete pass that every table took before the dense
-    path, kept as the exact oracle."""
-    f = table.n_features
-    if f < 2:
-        return table
-    r = np.abs(_pairwise_complete_correlation(table.values))
-    high = r > cfg.correlation_threshold
-    keep = np.ones(f, dtype=bool)
-    for j in range(1, f):
-        if high[j, :j][keep[:j]].any():
-            keep[j] = False
-    return table.take_columns(np.flatnonzero(keep))
+    """The greedy pass over exact pairwise-complete |r|, one pair at a time,
+    kept as the oracle."""
+    cols = [_exact_column(table.values[:, j]) for j in range(table.n_features)]
+    t2 = Fraction(cfg.correlation_threshold) ** 2
+
+    def high(i, j):
+        shared = [(u, v) for u, v in zip(cols[i], cols[j]) if u is not None and v is not None]
+        return exact_r_squared([u for u, _ in shared], [v for _, v in shared]) > t2
+
+    keep = []
+    for j in range(table.n_features):
+        if not any(high(i, j) for i in keep):
+            keep.append(j)
+    return table.take_columns(np.array(keep))
 
 
-def reference_pairwise_complete_correlation(values):
-    """`_pairwise_complete_correlation` as it was before it wrote its F x F
-    steps into preallocated arrays, kept as the bit-exact oracle."""
-    mask = (~np.isnan(values)).astype(np.float64)
-    x = np.where(np.isnan(values), 0.0, values)
-    n = mask.T @ mask
-    sx = x.T @ mask
-    sxx = (x * x).T @ mask
-    sxy = x.T @ x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cov = sxy - sx * sx.T / n
-        var_i = sxx - sx * sx / n
-        var_j = var_i.T
-        r = cov / np.sqrt(var_i * var_j)
-    r[~np.isfinite(r)] = 0.0
-    r[n < 3] = 0.0
-    np.clip(r, -1.0, 1.0, out=r)
-    return r
+COLUMN_KINDS = (
+    "normal", "scaled", "rounded", "duplicate", "negated", "offset", "constant", "near_constant",
+)
 
 
-class TestPairwiseCompleteCorrelation:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n=st.integers(1, 40),
-        n_features=st.integers(1, 30),
-        rate=st.sampled_from([0.0, 0.1, 0.4, 0.9]),
-        offsets=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_same_bits_as_reference(self, n, n_features, rate, offsets, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.normal(size=(n, n_features)) * 10.0 ** rng.uniform(-6, 6, n_features)
-        if offsets:
-            values += rng.choice([-1.0, 1.0], n_features) * 10.0 ** rng.uniform(0, 6, n_features)
-        values[:, rng.uniform(size=n_features) < 0.1] = 3.0  # constant columns
-        values[:, rng.uniform(size=n_features) < 0.1] *= 0.0  # signed zeros
-        values[rng.uniform(size=values.shape) < rate] = np.nan
-        out = _pairwise_complete_correlation(values)
-        assert out.tobytes() == reference_pairwise_complete_correlation(values).tobytes()
+def _correlated(base, rho, rng):
+    """A column whose r with base is rho up to rounding: base's centred
+    direction plus noise made orthogonal to it."""
+    b = base - base.mean()
+    e = rng.normal(size=len(base))
+    e -= e.mean()
+    norm = np.sqrt(b @ b)
+    if norm == 0.0 or len(base) < 3:
+        return base.copy()
+    b /= norm
+    e -= (e @ b) * b
+    return rho * b + np.sqrt(1.0 - rho**2) * e / np.sqrt(e @ e)
 
 
-WELL_CONDITIONED = ("normal", "scaled", "rounded", "duplicate", "negated")
-COLUMN_KINDS = WELL_CONDITIONED + ("offset", "constant", "near_constant")
-
-
-def _column(kind, cols, n, threshold, offsets, rng):
+def _column(kind, cols, n, threshold, rng):
     x = rng.normal(size=n)
     if kind == "offset":
-        return x + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 6)
+        return x + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 8)
     if kind == "scaled":
         return x * 10.0 ** rng.uniform(-6, 6)
     if kind == "rounded":
         return np.round(x * rng.integers(1, 4))  # few values, many ties
     if kind in ("duplicate", "negated") and cols:
         base = cols[rng.integers(len(cols))]
-        # noise sized for |r| about threshold, exactly 0 for a plain copy
-        ratio = rng.choice([0.0, np.sqrt(1.0 / threshold**2 - 1.0) * rng.uniform(0.9, 1.1)])
-        out = base * rng.uniform(0.5, 2.0) + ratio * base.std() * x
+        # an exact multiple, |r| = threshold up to rounding, or |r| near it
+        rho = rng.choice([1.0, threshold, threshold * rng.uniform(0.98, 1.0)])
+        if rho == 1.0:
+            out = base * rng.choice([0.5, 1.0, 2.0])
+        else:
+            out = _correlated(base, rho, rng) * rng.uniform(0.5, 2.0)
         out = -out if kind == "negated" else out
-        return out + rng.choice([0.0, 1e6]) if offsets else out
+        return out + rng.choice([0.0, 1.0, 1e6])
     if kind == "constant":
-        return np.full(n, rng.choice([0.0, 1.0, 1e6]))
+        return np.full(n, rng.choice([0.0, 0.1, 1e6]))
     if kind == "near_constant":
         return rng.choice([0.0, 5.0, 1e6]) + 10.0 ** rng.uniform(-15, -8) * x
     return x
 
 
-def _prune_table(n, kinds, threshold, well_conditioned, rng):
-    """One column of each kind; a well-conditioned table draws normal
-    columns for the kinds that send the dense path to the pairwise formula."""
+def _prune_table(n, kinds, threshold, rng):
     cols: list = []
     for kind in kinds:
-        if well_conditioned and kind not in WELL_CONDITIONED:
-            kind = "normal"
-        cols.append(_column(kind, cols, n, threshold, not well_conditioned, rng))
+        cols.append(_column(kind, cols, n, threshold, rng))
     return make_table(values=np.column_stack(cols))
 
 
-class TestPruneCorrelatedDensePath:
-    """A table with no missing cell gets |r| from one Gram product and keeps
-    exactly the columns the pairwise-complete formula keeps."""
+def _near_threshold_pair(rng, offset, n_features, at):
+    """A table whose columns 2 and `at` have an exact |r| that the returned
+    threshold is rounded from."""
+    values = rng.normal(size=(40, n_features))
+    values[:, at] = values[:, 2] + 0.5 * rng.normal(size=40)
+    values += offset
+    r2 = exact_r_squared(_exact_column(values[:, 2]), _exact_column(values[:, at]))
+    return values, float(r2) ** 0.5
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(2, 100),
-        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=2, max_size=40),
-        threshold=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
-        well_conditioned=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_keeps_the_reference_columns(self, n, kinds, threshold, well_conditioned, seed):
-        # well-conditioned tables mostly take the dense path; the others
-        # mix in columns that send it back to the pairwise formula
-        rng = np.random.default_rng(seed)
-        table = _prune_table(n, kinds, threshold, well_conditioned, rng)
-        cfg = PreprocessConfig(correlation_threshold=threshold)
-        assert (
-            prune_correlated(table, cfg).feature_names
-            == reference_prune_correlated(table, cfg).feature_names
+
+def _fixed_prune_tables():
+    """Tables that once checked which path pruning took, each with its
+    threshold."""
+    rng = np.random.default_rng(20)
+    block = preprocess._PRUNE_BLOCK
+    dense = rng.normal(size=(60, 30))
+    dense[:, 7] = 2.0 * dense[:, 2] + 0.01 * rng.normal(size=60)
+    dense[:, 9] = 3.0 - dense[:, 2] + 0.01 * rng.normal(size=60)
+    dense[:, 11] = 2.0 * dense[:, 3]  # |r| = 1 exactly, which threshold 1 keeps
+    missing = rng.normal(size=(40, 3))
+    missing[4, 0] = np.nan
+    cases = {"dense-0.9": (dense, 0.9), "dense-1.0": (dense, 1.0), "missing-cell": (missing, 0.9)}
+    # r = 1/2 exactly: cov = 1, var_x = var_y = 2 in units of 1/3
+    cases["at-threshold-0.5"] = (np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), 0.5)
+    for offset in (0.0, 1e4):
+        cases[f"near-threshold-{offset:g}"] = _near_threshold_pair(rng, offset, 3, 1)
+        cases[f"near-threshold-later-block-{offset:g}"] = _near_threshold_pair(
+            rng, offset, block + 3, block + 1
         )
+    for level, spread in [(5.0, 1e-12), (0.0, 0.0), (0.1, 0.0)]:
+        values = rng.normal(size=(40, 3))
+        values[:, 1] = level + spread * rng.normal(size=40)
+        cases[f"near-constant-{level:g}-{spread:g}"] = (values, 0.9)
+    return cases
 
-    @settings(max_examples=150, deadline=None)
+
+FIXED_PRUNE_TABLES = _fixed_prune_tables()
+
+
+class TestPruneCorrelatedExact:
+    """Pruning keeps exactly the columns of the greedy pass over exact
+    pairwise-complete |r| > threshold, whichever block or table it is."""
+
+    @settings(max_examples=250, deadline=None)
     @given(
-        block=st.integers(1, 7),
-        n=st.integers(2, 60),
-        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=2, max_size=24),
+        block=st.one_of(st.none(), st.integers(1, 7)),
+        n=st.integers(2, 80),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=2, max_size=32),
         threshold=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
-        well_conditioned=st.booleans(),
         missing=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_keeps_the_reference_columns_across_blocks(
-        self, block, n, kinds, threshold, well_conditioned, missing, seed
-    ):
-        # blocks of 1-7 rows of |r|, so that the greedy pass crosses block
-        # edges on both paths; a missing cell sends the table to the
-        # pairwise formula
+    def test_keeps_the_exact_columns(self, block, n, kinds, threshold, missing, seed):
+        # blocks of 1-7 rows of |r| make the greedy pass cross block edges
         rng = np.random.default_rng(seed)
-        table = _prune_table(n, kinds, threshold, well_conditioned, rng)
+        table = _prune_table(n, kinds, threshold, rng)
         if missing:
             table.values[rng.uniform(size=table.values.shape) < 0.05] = np.nan
         cfg = PreprocessConfig(correlation_threshold=threshold)
         with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(preprocess, "_PRUNE_BLOCK", block)
+            if block is not None:
+                monkeypatch.setattr(preprocess, "_PRUNE_BLOCK", block)
             out = prune_correlated(table, cfg)
         assert out.feature_names == reference_prune_correlated(table, cfg).feature_names
 
-    def test_table_wider_than_a_block(self, rng, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(FIXED_PRUNE_TABLES))
+    def test_fixed_tables_keep_the_exact_columns(self, case, monkeypatch):
+        # only a pair at the threshold is left to the exact test
+        exact, exceeds = [], preprocess._exceeds_exactly
+
+        def recorded(x, y, threshold):
+            exact.append(len(x))
+            return exceeds(x, y, threshold)
+
+        monkeypatch.setattr(preprocess, "_exceeds_exactly", recorded)
+        values, threshold = FIXED_PRUNE_TABLES[case]
+        table = make_table(values=values)
+        cfg = PreprocessConfig(correlation_threshold=threshold)
+        assert prune_correlated(table, cfg).feature_names == (
+            reference_prune_correlated(table, cfg).feature_names
+        )
+        at_threshold = case.startswith(("near-threshold", "at-threshold"))
+        assert exact == ([len(values)] if at_threshold else [])
+
+    def test_table_wider_than_a_block(self, rng):
         # copies and negated copies of columns in the first block, placed on
         # both sides of later block edges
         block = preprocess._PRUNE_BLOCK
@@ -241,95 +273,35 @@ class TestPruneCorrelatedDensePath:
             values[:, dst] = sign * values[:, src] + 0.01 * rng.normal(size=50)
         values[:, 2 * block + 1] = values[:, 2 * block] + 0.01 * rng.normal(size=50)
         table = make_table(values=values)
-        expected = reference_prune_correlated(table, CFG).feature_names
-        calls = self._count_pairwise(monkeypatch)
-        out = prune_correlated(table, CFG)
-        assert calls == []
-        assert out.feature_names == expected
-        assert out.n_features == values.shape[1] - 6
+        dropped = {block - 1, block, 2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 1}
+        assert prune_correlated(table, CFG).feature_names == [
+            name for j, name in enumerate(table.feature_names) if j not in dropped
+        ]
 
-    def _count_pairwise(self, monkeypatch):
-        calls = []
+    def test_independent_offset_columns_are_kept(self):
+        # raw sums cancel at this offset: Sxy - Sx * Sy / n once put |r|
+        # above 0.9 for independent columns
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            values = 1e7 + 0.3 * rng.normal(size=(60, 2))
+            values[rng.integers(60), rng.integers(2)] = np.nan
+            assert prune_correlated(make_table(values=values), CFG).n_features == 2, seed
 
-        def counted(values):
-            calls.append(values.shape)
-            return _pairwise_complete_correlation(values)
-
-        monkeypatch.setattr(preprocess, "_pairwise_complete_correlation", counted)
-        return calls
-
-    @pytest.mark.parametrize("threshold,n_kept", [(0.9, 28), (1.0, 30)])
-    def test_well_conditioned_table_skips_pairwise_formula(
-        self, rng, monkeypatch, threshold, n_kept
-    ):
-        def fail(values):
-            raise AssertionError("pairwise formula called on a dense table")
-
-        values = rng.normal(size=(60, 30))
-        values[:, 7] = 2.0 * values[:, 2] + 0.01 * rng.normal(size=60)
-        values[:, 9] = 3.0 - values[:, 2] + 0.01 * rng.normal(size=60)
+    def test_columns_with_few_observed_cells_are_kept_without_warnings(self, rng):
+        x, y = rng.normal(size=12), rng.normal(size=12)
+        values = np.column_stack([x, x, x, x, y, 2.0 * x, y])
+        values[2:, 1] = np.nan  # 2 observed cells
+        values[1:, 2] = np.nan  # 1
+        values[:, 3] = np.nan  # 0
+        values[6:, 4] = np.nan  # 6 observed cells, 2 of them shared with column 6
+        values[:4, 6] = np.nan
         table = make_table(values=values)
-        cfg = PreprocessConfig(correlation_threshold=threshold)
-        expected = reference_prune_correlated(table, cfg).feature_names
-        monkeypatch.setattr(preprocess, "_pairwise_complete_correlation", fail)
-        out = prune_correlated(table, cfg)
-        assert out.feature_names == expected
-        assert out.n_features == n_kept
-
-    @pytest.mark.parametrize("offset", [0.0, 1e4])
-    def test_near_threshold_pair_uses_pairwise_formula(self, rng, monkeypatch, offset):
-        # the threshold lies between the exact r and the pairwise formula's r,
-        # which an offset of 1e4 moves by about 1e-8
-        x = rng.normal(size=40)
-        y = x + 0.5 * rng.normal(size=40)
-        values = np.column_stack([x, y, rng.normal(size=40)]) + offset
-        exact = abs(np.corrcoef(x, y)[0, 1])
-        pairwise = abs(_pairwise_complete_correlation(values)[1, 0])
-        cfg = PreprocessConfig(correlation_threshold=float((exact + pairwise) / 2))
-        table = make_table(values=values)
-        calls = self._count_pairwise(monkeypatch)
-        out = prune_correlated(table, cfg)
-        assert calls == [(40, 3)]
-        assert out.feature_names == reference_prune_correlated(table, cfg).feature_names
-
-    @pytest.mark.parametrize("offset", [0.0, 1e4])
-    def test_near_threshold_pair_in_a_later_block_uses_pairwise_formula(
-        self, rng, monkeypatch, offset
-    ):
-        # as above, with the pair's later column past the first block, whose
-        # columns were already decided when the pair is reached
-        block = preprocess._PRUNE_BLOCK
-        values = rng.normal(size=(40, block + 3))
-        x = values[:, 2]
-        y = x + 0.5 * rng.normal(size=40)
-        values[:, block + 1] = y
-        values += offset
-        exact = abs(np.corrcoef(x, y)[0, 1])
-        pairwise = abs(_pairwise_complete_correlation(values)[block + 1, 2])
-        cfg = PreprocessConfig(correlation_threshold=float((exact + pairwise) / 2))
-        table = make_table(values=values)
-        calls = self._count_pairwise(monkeypatch)
-        out = prune_correlated(table, cfg)
-        assert calls == [values.shape]
-        assert out.feature_names == reference_prune_correlated(table, cfg).feature_names
-
-    @pytest.mark.parametrize("level,spread", [(5.0, 1e-12), (0.0, 0.0), (0.1, 0.0)])
-    def test_near_constant_column_uses_pairwise_formula(self, rng, monkeypatch, level, spread):
-        values = rng.normal(size=(40, 3))
-        values[:, 1] = level + spread * rng.normal(size=40)
-        table = make_table(values=values)
-        calls = self._count_pairwise(monkeypatch)
-        out = prune_correlated(table, CFG)
-        assert calls == [(40, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prune_correlated(table, CFG)
+        # column 5 is 2x column 0; columns 1-4 and 6 have r = 0 with it
+        assert out.feature_names == [table.feature_names[i] for i in (0, 1, 2, 3, 4, 6)]
         assert out.feature_names == reference_prune_correlated(table, CFG).feature_names
-
-    def test_missing_cell_uses_pairwise_formula(self, rng, monkeypatch):
-        values = rng.normal(size=(40, 3))
-        values[4, 0] = np.nan
-        table = make_table(values=values)
-        calls = self._count_pairwise(monkeypatch)
-        prune_correlated(table, CFG)
-        assert calls == [(40, 3)]
 
 
 class TestVarianceTopK:
@@ -915,6 +887,12 @@ class TestMemoryBounds:
 
     def test_dense_pruning_holds_blocks_not_f_by_f(self, rng):
         table = make_table(values=rng.normal(size=(60, 3000)))
+        assert _traced_peak_mb(lambda: prune_correlated(table, CFG)) < 24.0
+
+    def test_pruning_with_a_missing_cell_holds_blocks_not_f_by_f(self, rng):
+        values = rng.normal(size=(60, 3000))
+        values[7, 1234] = np.nan
+        table = make_table(values=values)
         assert _traced_peak_mb(lambda: prune_correlated(table, CFG)) < 24.0
 
     def test_smote_plan_holds_no_cubic_difference(self, rng):

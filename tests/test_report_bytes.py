@@ -49,7 +49,7 @@ RECORDS_SHA256 = "1b4fa3c785bcada8772c493cca1ee2e222f1c80a60fcaf30e5818d6ff5b0f6
 
 # Correlation pruning drops columns in both modalities: DENSE (no missing
 # cell, strongly separated informative columns that correlate above 0.9)
-# takes the dense path, GAPPY (missing cells) the pairwise-complete one.
+# and GAPPY (missing cells, so pairs share fewer rows).
 PRUNE_CONFIG = {
     "seed": 5,
     "output_dir": "out",
@@ -187,27 +187,27 @@ def test_incremental_output_bytes_unchanged(tmp_path, monkeypatch, capsys):
 
 
 def test_pruning_report_bytes_unchanged(tmp_path, monkeypatch):
-    pruned, dense = [], []
-    prune, dense_keep = preprocess.prune_correlated, preprocess._dense_keep
+    pruned, exact = [], []
+    prune, exceeds = preprocess.prune_correlated, preprocess._exceeds_exactly
 
     def recorded_prune(table, cfg):
         out = prune(table, cfg)
         pruned.append((table.modality_name, table.n_features, out.n_features))
         return out
 
-    def recorded_dense(values, threshold):
-        keep = dense_keep(values, threshold)
-        dense.append(keep is not None)
-        return keep
+    def recorded_exceeds(x, y, threshold):
+        exact.append(len(x))
+        return exceeds(x, y, threshold)
 
     monkeypatch.setattr(preprocess, "prune_correlated", recorded_prune)
-    monkeypatch.setattr(preprocess, "_dense_keep", recorded_dense)
+    monkeypatch.setattr(preprocess, "_exceeds_exactly", recorded_exceeds)
     _run(tmp_path, monkeypatch, PRUNE_CONFIG)
     _assert_digest(tmp_path, PRUNE_SHA256)
-    # one fit per modality and fold, in modality order
+    # one fit per modality and fold, in modality order; every pair's |r| is
+    # decided in floating point, clear of its rounding bound
     assert [name for name, _, _ in pruned] == ["DENSE", "GAPPY"] * 2
-    assert dense == [True, False] * 2
     assert all(n_out < n_in for _, n_in, n_out in pruned)
+    assert exact == []
 
 
 def test_imputation_report_bytes_unchanged(tmp_path, monkeypatch):
