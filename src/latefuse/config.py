@@ -207,14 +207,18 @@ def parse_config(data: dict, config_dir: Optional[Path] = None) -> ExperimentCon
     return replace(cfg, dataset=replace(ds, modalities=mods, labels=resolve(ds.labels)))
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or NaN / Infinity / -Infinity
         raise ConfigError(f"config file is not valid JSON: {e}") from None
     return parse_config(data, config_dir=path.parent)

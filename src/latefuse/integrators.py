@@ -103,6 +103,8 @@ class IntegratorSpec:
             raise IntegrationError("inner_folds: must be >= 2")
         if self.ada_inner_folds < 2:
             raise IntegrationError("ada_inner_folds: must be >= 2")
+        if self.smote_k < 1:
+            raise IntegrationError("smote_k: must be >= 1")
 
     @property
     def label(self) -> str:
@@ -730,11 +732,9 @@ def fit_pbmvboost(
 
 @dataclass
 class GateDecision:
-    """Gate outcome per sample: a class index or UNKNOWN (-1), plus the
-    winning expert's own-class probability (0 when unknown)."""
+    """Gate outcome per sample: a class index or UNKNOWN (-1)."""
 
     chosen: np.ndarray
-    confidence: np.ndarray
 
     @property
     def unknown_mask(self) -> np.ndarray:
@@ -752,13 +752,11 @@ def moe_gate(per_expert: Sequence[tuple[np.ndarray, np.ndarray]]) -> GateDecisio
     claims = np.stack([c for _, c in per_expert], axis=1)  # (n, K) bool
     n = probs.shape[0]
     chosen = np.full(n, UNKNOWN, dtype=np.intp)
-    confidence = np.zeros(n, dtype=np.float64)
     any_claim = claims.any(axis=1)
     masked = np.where(claims, probs, -np.inf)
     winners = np.argmax(masked, axis=1)  # first max -> lower class index on ties
     chosen[any_claim] = winners[any_claim]
-    confidence[any_claim] = probs[any_claim, winners[any_claim]]
-    return GateDecision(chosen=chosen, confidence=confidence)
+    return GateDecision(chosen=chosen)
 
 
 def _expert_outputs(values, experts) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -263,49 +263,6 @@ _KNN_BLOCK = 32
 _EPS = np.finfo(np.float64).eps
 
 
-def _impute_row(out: np.ndarray, i: int, donors: KnnDonors, k: int) -> None:
-    """Impute row i of `out` in place from its exact distance to every
-    training row."""
-    row = out[i]
-    row_observed = ~np.isnan(row)
-    r_scaled = np.where(row_observed, row / donors.scale, 0.0)
-    shared = donors.observed & row_observed
-    diff = (donors.scaled - r_scaled) * shared
-    dist = np.sqrt((diff * diff).sum(axis=1))
-    dist[~shared.any(axis=1)] = np.inf
-    order = np.argsort(dist, kind="stable")
-    order = order[np.isfinite(dist[order])]
-    miss = np.flatnonzero(~row_observed)
-    # a column's donors are the first k candidates that observe it; look
-    # among the nearest 4 * k first, and among all candidates only when some
-    # column has fewer than k donors there
-    cands = order[: 4 * k]
-    observed = donors.observed[cands[None, :], miss[:, None]]
-    if len(cands) < len(order) and (observed.sum(axis=1) < k).any():
-        cands = order
-        observed = donors.observed[cands[None, :], miss[:, None]]
-    take = observed & (np.cumsum(observed, axis=1) <= k)
-    # nonzero lists the donors column by column, nearest first
-    col, pos = np.nonzero(take)
-    donor_values = donors.values[cands[pos], miss[col]]
-    n_donors = take.sum(axis=1)
-    out[i, miss[n_donors == 0]] = donors.mean[miss[n_donors == 0]]
-    # summing each column's donors along one contiguous row adds them in
-    # the same order as the 1-D mean of that column's donors
-    for c in set(n_donors.tolist()) - {0}:
-        values = donor_values[n_donors[col] == c].reshape(-1, c)
-        out[i, miss[n_donors == c]] = values.sum(axis=1) / c
-
-
-def _exact_distances(donors: KnnDonors, cands, r, observed) -> np.ndarray:
-    """The masked distance from each row of r (scaled values, 0 where
-    missing; `observed` their mask) to each training row in the same row of
-    `cands`, to the bit as `_impute_row` computes it."""
-    shared = donors.observed[cands] & observed[:, None, :]
-    diff = (donors.scaled[cands] - r[:, None, :]) * shared
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 def _ordered_by_bounds(kept, real, d2, lo, hi):
     """Each row's kept training rows (`kept` where `real` marks them, in
     ascending index order, then padding) sorted by d2, ties by index,
@@ -323,52 +280,61 @@ def _ordered_by_bounds(kept, real, d2, lo, hi):
     return cands, (apart | ~real[:, 1:]).all(axis=1)
 
 
-def _exact_nearest(donors: KnnDonors, kept, real, r, observed, m4: int):
-    """Whether each row's kept distances are finite, and its nearest `m4`
-    kept rows by (exact distance, index). `kept` holds each row's kept
-    training rows in ascending index order, where `real` marks them, and
-    padding beyond; distances are computed a few rows at a time, so that no
-    more cells are held than for m4 candidates per row of a block."""
-    step = max(1, _KNN_BLOCK * m4 // kept.shape[1])
-    parts = [slice(s, s + step) for s in range(0, len(kept), step)]
-    dist = np.concatenate([_exact_distances(donors, kept[p], r[p], observed[p]) for p in parts])
-    finite = (np.isfinite(dist) | ~real).all(axis=1)
-    dist[~real] = np.inf
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :m4]
-    return finite, np.take_along_axis(kept, nearest, axis=1)
+def _exact_nearest(donors: KnnDonors, kept, real, r, observed, m: int):
+    """Each row's nearest `m` kept training rows by (exact distance, index),
+    and how many kept rows lie at a finite distance; the others are never
+    donors and sort last. `kept` holds each row's kept training rows in
+    ascending index order, where `real` marks them, and padding beyond; r
+    are the rows' scaled values (0 where missing), `observed` their mask.
+    Distances are computed a few rows at a time, so that no more cells are
+    held than for m candidates per row of a block."""
+    dist = np.empty(kept.shape)
+    step = max(1, _KNN_BLOCK * m // kept.shape[1])
+    with np.errstate(over="ignore"):
+        for s in range(0, len(kept), step):
+            p = slice(s, s + step)
+            shared = donors.observed[kept[p]] & observed[p, None, :]
+            diff = (donors.scaled[kept[p]] - r[p, None, :]) * shared
+            dist[p] = np.sqrt((diff * diff).sum(axis=2))
+    dist[~real] = np.inf  # a distance is never NaN, and an infinite one sorts with padding
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :m]
+    return np.take_along_axis(kept, nearest, axis=1), np.isfinite(dist).sum(axis=1)
 
 
-def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: int) -> np.ndarray:
-    """Impute in place the `rows` of `out` whose nearest 4 * k candidates a
-    Gram screen settles, and return the other rows.
+def _impute_screened(
+    out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: int, m: int
+) -> np.ndarray:
+    """Impute in place the `rows` of `out` from each row's nearest `m`
+    candidates (the training rows it shares an observed feature with), and
+    return the rows where that is not enough: some missing column has fewer
+    than k donors among the m, and the row has more candidates than m.
 
     With r and t the scaled values (0 where missing) and M_r, M_t the
     observed masks, every masked squared distance is
     d2 = A + B - 2 r.t^T, with A = (r∘r).M_t^T and B = M_r.(t∘t)^T. In any
-    summation order, d2 differs from the sum of squares `_impute_row`
-    computes by at most about (2F + 5) * eps * (A + B), plus 3F smallest
+    summation order, d2 differs from the exact sum of squares of the scaled
+    differences by at most about (2F + 5) * eps * (A + B), plus 3F smallest
     subnormals for underflow; E = (4F + 16) * (eps * (A + B) + smallest
     subnormal) is at least twice that. The screen keeps every training row
-    j with d2_j - E_j <= H, H being the 4k-th smallest d2 + E raised by
+    j with d2_j - E_j <= H, H being the m-th smallest d2 + E raised by
     8 eps and the smallest normal number, so that square-root rounding
-    cannot tie a row left out with a kept one. The kept rows, at least 4k,
-    then include every row at or below the 4k-th exact distance, ties
-    included, so the first 4k of them by (exact distance, index) are the
-    nearest 4k in `_impute_row`'s stable order. Sorted by d2, the kept rows
-    are already in that order when no two consecutive ones have overlapping
-    bounds (`_ordered_by_bounds`), and exact distances are computed only for
-    the rows where some do (`_exact_nearest`). A row goes back when it has
-    at most 4k candidates, when a bound or kept distance is not finite, or
-    when some missing column has fewer than k donors among the 4k, where
-    the search would widen.
+    cannot tie a row left out with a kept one. The kept rows, at least m,
+    then include every row at or below the m-th exact distance, ties
+    included, so the first m of them by (exact distance, index) are the
+    nearest m in a stable sort of exact distances. Sorted by d2, the kept
+    rows are already in that order when no two consecutive ones have
+    overlapping bounds (`_ordered_by_bounds`), and exact distances are
+    computed only for the rows where some do (`_exact_nearest`). A row with
+    at most m candidates, or with a bound that is not finite, keeps every
+    candidate; the latter's are ordered by exact distance, and those at a
+    non-finite distance are never donors.
     """
-    m4 = 4 * k
     x = out[rows]
     observed = ~np.isnan(x)
     r = np.where(observed, x / donors.scale, 0.0)
     mask = observed.astype(np.float64)
     shares = (mask @ donors.observed_f.T) > 0
-    # overflow makes a bound non-finite, and the row falls back
+    # overflow makes a bound non-finite, and the row keeps every candidate
     with np.errstate(invalid="ignore", over="ignore"):
         a = (r * r) @ donors.observed_f.T
         b = mask @ donors.scaled_sq.T
@@ -376,40 +342,53 @@ def _impute_screened(out: np.ndarray, rows: np.ndarray, donors: KnnDonors, k: in
         err = (4 * x.shape[1] + 16) * (_EPS * (a + b) + np.finfo(np.float64).smallest_subnormal)
         hi = np.where(shares, d2 + err, np.inf)
         lo = np.where(shares, d2 - err, np.inf)
-        h = np.partition(hi, m4 - 1, axis=1)[:, m4 - 1:m4]
+        h = np.partition(hi, m - 1, axis=1)[:, m - 1 : m]
         keep = lo <= h * (1.0 + 8 * _EPS) + np.finfo(np.float64).tiny
-    settled = (shares.sum(axis=1) > m4) & (np.isfinite(hi) | ~shares).all(axis=1)
-    fast = np.flatnonzero(settled)
-    if not len(fast):
-        return rows
+    total = shares.sum(axis=1)
+    bounded = (np.isfinite(hi) | ~shares).all(axis=1)
+    whole = (total <= m) | ~bounded
+    keep[whole] = shares[whole]
     # the kept rows, in ascending index order and padded
-    n_kept = keep[fast].sum(axis=1)
+    n_kept = keep.sum(axis=1)
     real = np.arange(n_kept.max()) < n_kept[:, None]
     kept = np.zeros(real.shape, dtype=np.intp)
-    kept[real] = np.nonzero(keep[fast])[1]
-    cands, ordered = _ordered_by_bounds(kept, real, d2[fast], lo[fast], hi[fast])
-    cands = cands[:, :m4]
-    finite = np.ones(len(fast), dtype=bool)  # a kept row's bound, so its distance, is finite
-    exact = np.flatnonzero(~ordered)
+    kept[real] = np.nonzero(keep)[1]
+    cands, ordered = _ordered_by_bounds(kept, real, d2, lo, hi)
+    cands = cands[:, :m]
+    exact = np.flatnonzero(~ordered | ~bounded)
     if len(exact):
-        finite[exact], cands[exact] = _exact_nearest(
-            donors, kept[exact], real[exact], r[fast[exact]], observed[fast[exact]], m4
+        cands[exact], n_kept[exact] = _exact_nearest(
+            donors, kept[exact], real[exact], r[exact], observed[exact], m
         )
-    # each missing cell's first k observing candidates, nearest first, by
-    # their flat index into the training table
-    cell, col = np.nonzero(~observed[fast])
+    # each missing cell's candidates, nearest first, by their flat index into
+    # the training table, and which of them observe its column
+    cell, col = np.nonzero(~observed)
     flat = cands[cell] * donors.values.shape[1] + col[:, None]
     observing = donors.observed.ravel().take(flat)
-    short = np.bincount(cell, observing.sum(axis=1) < k, minlength=len(fast)) > 0
-    settled[fast[short | ~finite]] = False
-    done = settled[fast[cell]]
-    cell, col, flat, observing = cell[done], col[done], flat[done], observing[done]
+    if (n_kept < cands.shape[1]).any():  # padding, and rows at an infinite distance, are no donors
+        observing &= np.arange(cands.shape[1]) < n_kept[cell, None]
+    n_donors = observing.sum(axis=1)
+    back = (total > m) & (np.bincount(cell, n_donors < k, minlength=len(rows)) > 0)
+    if back.any():
+        done = ~back[cell]
+        cell, col, flat, observing, n_donors = (
+            cell[done], col[done], flat[done], observing[done], n_donors[done]
+        )
     take = observing & (np.cumsum(observing, axis=1) <= k)
-    # k donors per cell, nearest first along one contiguous row, as in
-    # `_impute_row`
-    donor_values = donors.values.ravel().take(flat[take]).reshape(-1, k)
-    out[rows[fast[cell]], col] = donor_values.sum(axis=1) / k
-    return rows[~settled]
+    n_donors = np.minimum(n_donors, k)
+    donor_values = donors.values.ravel().take(flat[take])
+    # a cell averages its first <= k donors, nearest first; summing each
+    # group of cells with c donors along contiguous rows of c adds them in
+    # the same order as the 1-D mean of one cell's donors
+    for c in np.flatnonzero(np.bincount(n_donors)):
+        group = n_donors == c
+        at = rows[cell[group]], col[group]
+        if c == 0:
+            out[at] = donors.mean[col[group]]
+        else:
+            values = donor_values if group.all() else donor_values[np.repeat(group, n_donors)]
+            out[at] = values.reshape(-1, c).sum(axis=1) / c
+    return rows[back]
 
 
 def impute_knn(
@@ -422,21 +401,20 @@ def impute_knn(
 
     Distance is Euclidean over mutually observed features, each feature
     scaled by its training standard deviation; rows sharing no observed
-    feature are never donors, and ties keep the earlier training row. A
-    cell's donors are the k nearest training rows where that feature is
-    observed, averaged; with no usable donor the training feature mean is
-    used. `donors` is `KnnDonors(train, cfg)`, passed by a caller that
-    imputes several tables from one training split.
+    feature are never donors, nor are rows at a non-finite distance, and
+    ties keep the earlier training row. A cell's donors are the k nearest
+    training rows where that feature is observed, averaged; with no usable
+    donor the training feature mean is used. `donors` is
+    `KnnDonors(train, cfg)`, passed by a caller that imputes several
+    tables from one training split.
 
-    When there are more than 4 * knn_k training rows, blocks of rows go
-    through `_impute_screened`: Gram products bound every distance, which
-    rules out all but the nearest 4 * knn_k and a few more, ties at the
-    4 * knn_k-th included, and mostly also fixes their order. Exact
-    distances are computed only for the rows whose kept candidates' bounds
-    overlap. A row the screen cannot settle (too few candidates, a
-    non-finite bound or distance, or a column with fewer than knn_k donors
-    among the nearest 4 * knn_k) takes `_impute_row`, which computes every
-    exact distance. Both give the same bits.
+    Rows go through `_impute_screened` in blocks, in two passes. The first
+    looks for donors among each row's nearest 4 * knn_k candidates: Gram
+    products bound every distance, which rules out all but those and a few
+    more, ties included, and mostly also fixes their order; exact
+    distances are computed only where the bounds overlap. The second takes
+    the rows where some column has fewer than knn_k donors among those,
+    and looks among every candidate.
     """
     if train.feature_names != apply_to.feature_names:
         raise PreprocessError("train/apply feature mismatch")
@@ -444,14 +422,14 @@ def impute_knn(
         donors = KnnDonors(train, cfg)
     out = apply_to.values.copy()
     rows = np.flatnonzero(np.isnan(out).any(axis=1))
-    k = cfg.knn_k
-    if len(rows) and len(donors.values) > 4 * k:
+    n, k = len(donors.values), cfg.knn_k
+    for m in (min(4 * k, n), n):
+        # a block of the second pass holds no more candidates than one of the first
+        block = max(1, _KNN_BLOCK * min(4 * k, n) // m)
         rows = np.concatenate([
-            _impute_screened(out, rows[s : s + _KNN_BLOCK], donors, k)
-            for s in range(0, len(rows), _KNN_BLOCK)
-        ])
-    for i in rows:
-        _impute_row(out, i, donors, k)
+            _impute_screened(out, rows[s : s + block], donors, k, m)
+            for s in range(0, len(rows), block)
+        ] or [rows])
     return ModalityTable(
         apply_to.modality_name, list(apply_to.sample_ids), list(apply_to.feature_names), out
     )

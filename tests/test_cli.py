@@ -180,6 +180,24 @@ class TestRun:
         assert main(["run", "-c", str(cfg)]) == 1
         assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal, edit", [
+        ("Infinity", ("\"learning_rate\": 0.1", "\"learning_rate\": Infinity")),
+        ("-Infinity", ("\"learning_rate\": 0.1", "\"learning_rate\": -Infinity")),
+        ("NaN", ("\"separation\": 2.0", "\"separation\": NaN")),
+    ])
+    def test_non_json_number_literal_exits_one(self, tmp_path, capsys, literal, edit):
+        # Python's json module reads these literals; a config is plain JSON
+        cfg = _write_config(tmp_path / "config.json", methods=[
+            {"kind": "ENS-S", "base": {"n_rounds": 6, "max_depth": 2, "learning_rate": 0.1}},
+        ])
+        text = cfg.read_text()
+        assert edit[0] in text
+        cfg.write_text(text.replace(edit[0], edit[1], 1))
+        assert main(["run", "-c", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file is not valid JSON: {literal} is not a JSON number" in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path / "config.json")
         monkeypatch.setenv("LATEFUSE_OUTPUT_DIR", str(tmp_path / "env_out"))

@@ -288,6 +288,7 @@ _BAD_CONFIGS = {
     "one_inner_fold": ({"methods": [{"kind": "ML", "inner_folds": 1}]}, "methods[0].inner_folds"),
     "one_ada_inner_fold": ({"methods": [{"kind": "ADA-M", "ada_inner_folds": 1}]},
                            "methods[0].ada_inner_folds"),
+    "zero_smote_k": ({"methods": [{"kind": "MOE-COMBN", "smote_k": 0}]}, "methods[0].smote_k"),
     "unknown_modality": ({"methods": [{"kind": "ENS-S"}, {"kind": "ENS-S", "modalities": ["Z"]}]},
                          "methods[1].modalities"),
     "one_fold": ({"folds": {"repeats": 1, "folds": 1}}, "folds.folds"),

@@ -533,7 +533,6 @@ class TestMoe:
             (np.array([0.3]), np.array([False])),
         ])
         assert decision.chosen.tolist() == [0]
-        assert decision.confidence[0] == pytest.approx(0.8)
 
     def test_gate_highest_confidence_wins(self):
         decision = moe_gate([

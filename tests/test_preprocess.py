@@ -494,15 +494,17 @@ class TestImputeKnn:
         assert_matches_reference(make_table(values=tv), make_table(values=apply_to), cfg)
 
     def test_gram_path_matches_reference_property(self, monkeypatch):
-        """More training rows than 4 * knn_k, so blocks of rows go through the
-        Gram screen; over the run, some rows are settled by it and some fall
-        back to the per-row search."""
-        counts = {"fallback": 0, "rows": 0, "bounds-ordered": 0, "exact-ordered": 0}
-        per_row, by_bounds = preprocess._impute_row, preprocess._ordered_by_bounds
+        """More training rows than 4 * knn_k, so the first pass screens each
+        row's nearest 4 * knn_k candidates; over the run, some rows are
+        settled by it and some widen to every candidate in the second."""
+        counts = {"widened": 0, "rows": 0, "bounds-ordered": 0, "exact-ordered": 0}
+        screen, by_bounds = preprocess._impute_screened, preprocess._ordered_by_bounds
 
-        def counted(out, i, donors, k):
-            counts["fallback"] += 1
-            per_row(out, i, donors, k)
+        def counted(out, rows, donors, k, m):
+            left = screen(out, rows, donors, k, m)
+            if m < len(donors.values):
+                counts["widened"] += len(left)
+            return left
 
         def counted_order(*args):
             cands, ordered = by_bounds(*args)
@@ -510,7 +512,7 @@ class TestImputeKnn:
             counts["exact-ordered"] += int((~ordered).sum())
             return cands, ordered
 
-        monkeypatch.setattr(preprocess, "_impute_row", counted)
+        monkeypatch.setattr(preprocess, "_impute_screened", counted)
         monkeypatch.setattr(preprocess, "_ordered_by_bounds", counted_order)
 
         @settings(max_examples=80, deadline=None)
@@ -541,7 +543,7 @@ class TestImputeKnn:
             assert out.values.tobytes() == reference_impute_knn(train, target, cfg).tobytes()
 
         check()
-        assert 0 < counts["fallback"] < counts["rows"]
+        assert 0 < counts["widened"] < counts["rows"]
         # the screen's candidates come in both orders: from the bounds alone,
         # and from exact distances where the bounds overlap
         assert counts["bounds-ordered"] > 0 and counts["exact-ordered"] > 0
@@ -552,17 +554,23 @@ class TestImputeKnn:
     ):
         # every training row comes `copies` times, so the 20th nearest
         # (4 * knn_k) sits inside a tie; the screen keeps the whole tie (at
-        # 42 copies, every row, in several slices) and no row falls back to
-        # the per-row search
-        calls = []
-        monkeypatch.setattr(preprocess, "_impute_row", lambda *args: calls.append(args))
+        # 42 copies, every row, in several slices) and the first pass
+        # settles every row
+        calls, screen = [], preprocess._impute_screened
+
+        def recorded(out, rows, donors, k, m):
+            left = screen(out, rows, donors, k, m)
+            calls.append((m, len(left)))
+            return left
+
+        monkeypatch.setattr(preprocess, "_impute_screened", recorded)
         tv = np.repeat(rng.normal(size=(distinct, 6)), copies, axis=0)
         apply_to = rng.normal(size=(40, 6))
         apply_to[:, :3] = with_missing(apply_to[:, :3], 0.5, rng)
         apply_to[:, 0] = np.nan  # columns 3-5 stay observed, so every row has candidates
         train, target = make_table(values=tv), make_table(values=apply_to)
         out = impute_knn(train, target, CFG)
-        assert calls == []
+        assert calls == [(20, 0), (20, 0)]
         assert out.values.tobytes() == reference_impute_knn(train, target, CFG).tobytes()
 
     @pytest.mark.parametrize("twins", [None, "duplicated", "one ulp apart"])
@@ -578,18 +586,62 @@ class TestImputeKnn:
         }[twins]
         train = make_table(values=np.vstack([tv, twin]))
         target = make_table(values=with_missing(rng.normal(size=(40, 8)), 0.2, rng))
-        calls, fallback, exact = [], [], preprocess._exact_distances
+        calls, screened = [], []
+        exact, screen = preprocess._exact_nearest, preprocess._impute_screened
 
-        def recorded(donors, cands, r, observed):
-            calls.append(len(cands))
-            return exact(donors, cands, r, observed)
+        def recorded(donors, kept, real, r, observed, m):
+            calls.append(len(kept))
+            return exact(donors, kept, real, r, observed, m)
 
-        monkeypatch.setattr(preprocess, "_exact_distances", recorded)
-        monkeypatch.setattr(preprocess, "_impute_row", lambda *args: fallback.append(args))
+        def recorded_screen(out, rows, donors, k, m):
+            left = screen(out, rows, donors, k, m)
+            screened.append((m, len(left)))
+            return left
+
+        monkeypatch.setattr(preprocess, "_exact_nearest", recorded)
+        monkeypatch.setattr(preprocess, "_impute_screened", recorded_screen)
         out = impute_knn(train, target, CFG)
-        assert fallback == []
+        # the first pass returns no row, so there is no second
+        assert screened and all(m == 20 and left == 0 for m, left in screened)
         assert (calls == []) == (twins is None)
         assert out.values.tobytes() == reference_impute_knn(train, target, CFG).tobytes()
+
+    def test_overflowing_bounds_order_by_exact_distance(self, rng, monkeypatch):
+        # a constant training column at 2^516 (about 2.7e155) has scale 1, so
+        # its scaled square overflows and every row observing it has a
+        # non-finite Gram bound; a row at -2^516 or 1.0 there is at an
+        # infinite exact distance from each training row observing the
+        # column, so those are never its donors
+        big = 2.0**516
+        tv = with_missing(rng.normal(size=(60, 5)), 0.15, rng)
+        tv[:, 0] = big
+        tv[rng.uniform(size=60) < 0.2, 0] = np.nan
+        tv[:, 4] = np.nan
+        tv[3, 4] = big  # one training row observes column 4
+        apply_to = with_missing(rng.normal(size=(60, 5)), 0.25, rng)
+        apply_to[:, 0] = rng.choice([big, -big, 1.0, np.nan], size=60)
+        # every candidate, or the only one, at an infinite distance
+        apply_to[:2] = np.nan
+        apply_to[0, 0] = apply_to[1, 4] = -big
+        train, target = make_table(values=tv), make_table(values=apply_to)
+        assert _train_scale(tv)[[0, 4]].tolist() == [1.0, 1.0]
+        calls, exact = [], preprocess._exact_nearest
+
+        def recorded(donors, kept, real, r, observed, m):
+            calls.append(len(kept))
+            return exact(donors, kept, real, r, observed, m)
+
+        monkeypatch.setattr(preprocess, "_exact_nearest", recorded)
+        with np.errstate(over="ignore"):
+            expected = reference_impute_knn(train, target, CFG)
+        out = impute_knn(train, target, CFG)
+        # at least every row that observes column 0 or 4
+        unbounded = (~np.isnan(apply_to[:, [0, 4]])).any(axis=1).sum()
+        assert unbounded > 2 and sum(calls) >= unbounded
+        assert out.values.tobytes() == expected.tobytes()
+        # rows 0 and 1 have no donor, so every missing cell takes the training mean
+        mean = np.nanmean(tv, axis=0)
+        np.testing.assert_array_equal(out.values[:2, 1:4], [mean[1:4], mean[1:4]])
 
     def test_all_missing_training_feature_errors(self):
         train = make_table(values=np.column_stack([np.full(6, np.nan), np.arange(6.0)]))
@@ -906,6 +958,24 @@ class TestMemoryBounds:
         X, y = rng.normal(size=(80, 200)), rng.integers(0, 4, 80)
         assert _traced_peak_mb(lambda: fit_gbm(X, y, params=GbmParams())) < 4.5
 
+    def test_knn_rows_with_every_candidate_hold_few_rows_of_distances(self, rng):
+        # column 0 is observed only in the 10 farthest training rows, so every
+        # apply row widens to all 1000 candidates; column 1 is a constant
+        # 2^516, whose square overflows, so in both passes every row keeps
+        # every candidate and orders them by exact distance: about 3 MB, and
+        # 13 MB for each (32, 1000, 50) temporary of 32 rows at once
+        tv = rng.normal(size=(1000, 50))
+        tv[:-10, 0] = np.nan
+        tv[-10:, 2:] += 50.0
+        tv[:, 1] = 2.0**516
+        apply_to = rng.normal(size=(64, 50))
+        apply_to[:, 0] = np.nan
+        apply_to[:, 1] = 2.0**516
+        train, target = make_table(values=tv), make_table(values=apply_to)
+        donors = preprocess.KnnDonors(train, CFG)
+        with np.errstate(over="ignore"):  # computed outside the bound
+            donors.scaled_sq, donors.observed_f, donors.mean
+        assert _traced_peak_mb(lambda: impute_knn(train, target, CFG, donors)) < 8.0
 
 class TestFittedPreprocessor:
     def test_train_transform_is_clean_and_standard(self, rng):

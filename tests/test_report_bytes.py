@@ -214,24 +214,24 @@ def test_imputation_report_bytes_unchanged(tmp_path, monkeypatch):
     screened = []
     screen = preprocess._impute_screened
 
-    def recorded_screen(out, rows, donors, k):
-        left = screen(out, rows, donors, k)
+    def recorded_screen(out, rows, donors, k, m):
+        left = screen(out, rows, donors, k, m)
         screened.append((len(rows), len(left)))
         return left
 
-    exact, distances = [], preprocess._exact_distances
+    exact, nearest = [], preprocess._exact_nearest
 
-    def recorded_distances(donors, cands, r, observed):
-        exact.append(len(cands))
-        return distances(donors, cands, r, observed)
+    def recorded_nearest(donors, kept, real, r, observed, m):
+        exact.append(len(kept))
+        return nearest(donors, kept, real, r, observed, m)
 
     monkeypatch.setattr(preprocess, "_impute_screened", recorded_screen)
-    monkeypatch.setattr(preprocess, "_exact_distances", recorded_distances)
+    monkeypatch.setattr(preprocess, "_exact_nearest", recorded_nearest)
     _run(tmp_path, monkeypatch, IMPUTE_CONFIG)
     _assert_digest(tmp_path, IMPUTE_SHA256)
     # the training and test rows with a missing cell, of both modalities in
-    # both folds: the screen settles every one, and its Gram bounds alone
-    # put every row's candidates in their exact order
+    # both folds: the first pass settles every one, and its Gram bounds
+    # alone put every row's candidates in their exact order
     assert len(screened) == 8
     assert sum(n for n, _ in screened) == 232
     assert all(left == 0 for _, left in screened)
