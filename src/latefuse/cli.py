@@ -13,12 +13,13 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _build, _echo, load_config
 from .data import DataError, load_dataset, make_fold_plan
-from .evaluation import EvaluationReport, run_cv_benchmark
+from .evaluation import ClassRecord, EvaluationReport, run_cv_benchmark
 from .integrators import IntegrationError, incremental_select
 from .preprocess import PreprocessError
 from .synth import SynthError, generate, save_dataset
@@ -83,22 +84,20 @@ def _write_report_files(report: EvaluationReport, out_dir: Path) -> None:
     (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
 
     with open(out_dir / "records.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, [
-            "method", "repeat", "fold", "class_index", "class_name",
-            "tp", "fp", "tn", "fn", "accuracy", "sensitivity", "specificity",
-            "precision", "recall", "f1", "auc", "auc_valid",
-        ])
-        writer.writeheader()
-        writer.writerows(report.records_csv_rows())
+        columns = [f.name for f in fields(ClassRecord)]
+        row = attrgetter(*columns)
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(row(r) for m in report.methods.values() for r in m.class_records)
 
     for label, method in report.methods.items():
-        if method.signature is None:
+        if method.aggregates is None:  # no scored cell, so no signature
             continue
         path = out_dir / f"signature_{_safe_name(label)}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["modality", "feature", "score", "frequency"])
-            for e in method.signature.entries:
+            for e in method.signature:
                 writer.writerow([e.modality, e.feature, repr(e.score), repr(e.frequency)])
 
 
@@ -134,7 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             cfg.preprocess,
             seed=cfg.seed,
             n_jobs=cfg.parallelism,
-            config_echo=cfg.resolved_dict(),
+            config=cfg,
         )
         out_dir = Path(cfg.output_dir)
         _write_report_files(report, out_dir)
@@ -143,12 +142,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     failed = [label for label, m in report.methods.items() if m.failures]
     for label, m in report.methods.items():
         agg = m.aggregates
-        if not agg:
+        if agg is None:
             print(f"{label}: failed on every fold")
             continue
         print(
-            f"{label}: F1 {agg['macro_f1_mean']:.3f} (+-{agg['macro_f1_sd']:.3f}) "
-            f"AUC {agg['macro_auc_mean']:.3f} acc {agg['accuracy_mean']:.3f}"
+            f"{label}: F1 {agg.macro_f1_mean:.3f} (+-{agg.macro_f1_sd:.3f}) "
+            f"AUC {agg.macro_auc_mean:.3f} acc {agg.accuracy_mean:.3f}"
         )
     print(f"report -> {out_dir / 'report.json'}")
     if failed:
@@ -203,13 +202,10 @@ def cmd_incremental(args: argparse.Namespace) -> int:
             writer.writerow(["method", "auc_all", "f1_all", "auc_subset", "f1_subset"])
             for label, m in full.methods.items():
                 sub = subset.methods.get(label)
-                writer.writerow([
-                    label,
-                    repr(m.aggregates.get("macro_auc_mean", 0.0)),
-                    repr(m.aggregates.get("macro_f1_mean", 0.0)),
-                    repr(sub.aggregates.get("macro_auc_mean", 0.0)) if sub and sub.aggregates else "",
-                    repr(sub.aggregates.get("macro_f1_mean", 0.0)) if sub and sub.aggregates else "",
-                ])
+                subset_aggregates = sub.aggregates if sub else None
+                writer.writerow(
+                    [label, *_auc_f1(m.aggregates, "0.0"), *_auc_f1(subset_aggregates, "")]
+                )
     except _USER_ERRORS as e:
         return _fail(str(e))
     for step in result.trace:
@@ -225,83 +221,51 @@ def _method_fits(spec, subset: list) -> bool:
     return all(m in subset for m in spec.modalities)
 
 
-_TABLE_AGGREGATES = (
-    "macro_f1_mean", "macro_f1_sd", "macro_auc_mean", "accuracy_mean", "unknown_rate_mean",
-)
-
-
-def _not_a_report(data) -> str | None:
-    """Why `data` is not a report that `cmd_report` can print, or None."""
-    if not isinstance(data, dict):
-        return "the top level is not a JSON object"
-    if data.get("report_version") != 1:
-        return f"report_version is {data.get('report_version')!r}, not 1"
-    methods = data.get("methods", {})
-    if not isinstance(methods, dict):
-        return "methods is not an object"
-    for label, m in methods.items():
-        if not isinstance(m, dict):
-            return f"method {label!r} is not an object"
-        aggregates, stability = m.get("aggregates") or {}, m.get("stability") or {}
-        if not isinstance(aggregates, dict) or not isinstance(stability, dict):
-            return f"method {label!r} has aggregates or stability that is not an object"
-        missing = [k for k in _TABLE_AGGREGATES if aggregates and k not in aggregates]
-        if missing:
-            return f"method {label!r} has no aggregate {missing[0]!r}"
-        wrong = [k for k in _TABLE_AGGREGATES if aggregates and not _is_number(aggregates[k])]
-        if wrong:
-            return f"method {label!r} has aggregate {wrong[0]!r} that is not a number"
-        if stability.get("cw_rel") is not None and not _is_number(stability["cw_rel"]):
-            return f"method {label!r} has a cw_rel that is not a number"
-    significance = data.get("significance", [])
-    if not isinstance(significance, list):
-        return "significance is not a list"
-    for i, entry in enumerate(significance):
-        if not (isinstance(entry, dict) and _is_number(entry.get("p_value"))):
-            return f"significance entry {i} has no numeric p_value"
-    return None
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _auc_f1(aggregates, missing: str) -> list:
+    """A method's comparison.csv AUC and F1 cells; `missing` for both when
+    it scored no cell."""
+    if aggregates is None:
+        return [missing, missing]
+    return [repr(aggregates.macro_auc_mean), repr(aggregates.macro_f1_mean)]
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         data = json.loads(Path(args.report).read_text(encoding="utf-8"))
+        report = _build(EvaluationReport, data, "report")
     except (OSError, json.JSONDecodeError) as e:
         return _fail(f"cannot read report: {e}")
     except UnicodeDecodeError:
         return _fail(f"{args.report}: not UTF-8 text")
-    problem = _not_a_report(data)
-    if problem:
-        return _fail(f"{args.report}: not a latefuse report ({problem})")
-    print(f"report version {data.get('report_version')}, seed {data.get('seed')}")
+    except ConfigError as e:
+        return _fail(f"{args.report}: not a latefuse report ({e})")
+    print(f"report version {report.report_version}, seed {report.seed}")
     print(
-        f"{data.get('repeats')}x{data.get('folds')} CV, "
-        f"classes {data.get('class_names')}, modalities {data.get('modality_names')}"
+        f"{report.repeats}x{report.folds} CV, "
+        f"classes {report.class_names}, modalities {report.modality_names}"
     )
     header = f"{'method':30s} {'F1':>14s} {'AUC':>7s} {'acc':>7s} {'stability':>9s} {'unknown':>8s}"
     print(header)
-    for label in sorted(data.get("methods", {})):
-        m = data["methods"][label]
-        agg = m.get("aggregates") or {}
-        if not agg:
-            print(f"{label:30s}  failed: {m.get('failures')}")
+    for label in sorted(report.methods):
+        m = report.methods[label]
+        agg, stab = m.aggregates, m.stability
+        if agg is None:
+            print(f"{label:30s}  failed: {_echo(m.failures)}")
             continue
-        stab = m.get("stability") or {}
-        stab_s = f"{stab.get('cw_rel'):.3f}" if stab.get("cw_rel") is not None else "-"
-        caveat = " *" if stab.get("caveat") else ""
+        stab_s = f"{stab.cw_rel:.3f}" if stab else "-"
+        caveat = " *" if stab and stab.caveat else ""
         print(
-            f"{label:30s} {agg['macro_f1_mean']:.3f} (+-{agg['macro_f1_sd']:.3f}) "
-            f"{agg['macro_auc_mean']:7.3f} {agg['accuracy_mean']:7.3f} "
-            f"{stab_s:>9s} {agg['unknown_rate_mean']:8.3f}{caveat}"
+            f"{label:30s} {agg.macro_f1_mean:.3f} (+-{agg.macro_f1_sd:.3f}) "
+            f"{agg.macro_auc_mean:7.3f} {agg.accuracy_mean:7.3f} "
+            f"{stab_s:>9s} {agg.unknown_rate_mean:8.3f}{caveat}"
         )
-    flagged = [m for m in data.get("methods", {}).values() if (m.get("stability") or {}).get("caveat")]
-    if flagged:
-        print("* " + flagged[0]["stability"]["caveat"])
-    sig = data.get("significance", [])
-    strong = [s for s in sig if s["p_value"] < 0.05]
+    caveats = [m.stability.caveat for m in report.methods.values() if m.stability]
+    caveats = [c for c in caveats if c]
+    if caveats:
+        print("* " + caveats[0])
+    sig = report.significance
+    # a degenerate test's p-value (every paired difference equal) is no evidence
+    strong = [s for s in sig if s.p_value < 0.05 and not s.degenerate]
     print(f"significance: {len(strong)} of {len(sig)} pairwise tests at p < 0.05")
     return 0
 

@@ -5,9 +5,10 @@ schema: the field names are the accepted keys, the annotations their types and
 the field defaults their defaults. `_build` parses a section against them and
 `_echo` is its inverse. Unknown keys anywhere are an error, `null` is valid
 only for optional keys, booleans are not numbers, and an integer is accepted
-where a float is expected. The fully resolved config is echoed into the run
-report, and parsing that echo gives back the same config, so a run is
-reproducible from its report alone."""
+where a float is expected. The run report (`evaluation.EvaluationReport`) is
+typed the same way, and written and read by the same two functions. The fully
+resolved config is echoed into the run report, and parsing that echo gives
+back the same config, so a run is reproducible from its report alone."""
 
 from __future__ import annotations
 
@@ -101,10 +102,6 @@ class ExperimentConfig:
         if (self.dataset is None) == (self.synth is None):
             raise ConfigError("config must set exactly one of dataset or synth")
 
-    def resolved_dict(self) -> dict:
-        """The exact configuration the run uses, defaults filled."""
-        return _echo(self)
-
 
 _JSON_NAMES = {
     type(None): "null", bool: "boolean", int: "integer", float: "number",
@@ -123,6 +120,8 @@ def _json_name(tp: Any) -> str:
 
 def _value(tp: Any, value: Any, where: str) -> Any:
     """Check one JSON value against a field annotation and convert it."""
+    if tp is Any:  # any JSON value
+        return value
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # Optional[X]
         if value is None:
@@ -131,9 +130,9 @@ def _value(tp: Any, value: Any, where: str) -> Any:
         return _value(tp, value, where)
     if is_dataclass(tp):
         return _build(tp, value, where)
-    if origin is tuple:
+    if origin in (tuple, list):
         if isinstance(value, list):
-            return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+            return origin(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     elif origin is dict:
         if isinstance(value, dict):
             return {k: _value(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
@@ -171,10 +170,11 @@ def _build(cls: type, section: Any, where: str) -> Any:
 
 
 def _echo(value: Any) -> Any:
-    """The JSON form of a parsed config section: the inverse of `_build`."""
+    """The JSON form of a parsed config section or report: the inverse of
+    `_build`."""
     if is_dataclass(value):
         return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_echo(v) for v in value]
     if isinstance(value, dict):
         return {k: _echo(v) for k, v in value.items()}

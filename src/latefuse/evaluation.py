@@ -12,7 +12,9 @@ side, a positive series on the other), so that a run loads neither scipy
 nor anything else beyond numpy and the standard library. It is within 2e-13
 relative of the exact value for up to 1000 degrees of freedom.
 
-Fold and class records are plain dicts, shaped as report.json writes them.
+The report is typed: `EvaluationReport` and the dataclasses it holds have
+the report's keys as their fields, so `config._echo` writes report.json and
+`config._build` reads it back, with the config's key-path errors.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from .config import ConfigError, ExperimentConfig, _echo
 from .data import FoldPlan, MultiModalDataset
 from .feature_selection import (
-    FeatureSignature,
+    SignatureEntry,
     StabilityReport,
     select_signature,
     stability_cwrel,
@@ -323,18 +326,90 @@ def _student_t_two_sided(t: float, df: int) -> float:
 
 
 @dataclass
+class FoldRecord:
+    """One method's scores on one (repeat, fold) cell."""
+
+    method: str
+    repeat: int
+    fold: int
+    n_test: int
+    accuracy: float
+    macro_f1: float
+    macro_auc: float
+    unknown_rate: float
+
+
+@dataclass
+class ClassRecord:
+    """One method's one-vs-rest metrics for one class on one cell. The field
+    order is the column order of records.csv."""
+
+    method: str
+    repeat: int
+    fold: int
+    class_index: int
+    class_name: str
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+    accuracy: float
+    sensitivity: float
+    specificity: float
+    precision: float
+    recall: float
+    f1: float
+    auc: float
+    auc_valid: bool
+
+
+@dataclass
+class Aggregates:
+    """Means and population SDs over a method's scored cells: accuracy and
+    the abstention rate over its fold records, the macro metrics over its
+    class records (AUC over the classes where it is defined)."""
+
+    accuracy_mean: float
+    accuracy_sd: float
+    unknown_rate_mean: float
+    n_folds_scored: int
+    macro_sensitivity_mean: float
+    macro_sensitivity_sd: float
+    macro_specificity_mean: float
+    macro_specificity_sd: float
+    macro_precision_mean: float
+    macro_precision_sd: float
+    macro_recall_mean: float
+    macro_recall_sd: float
+    macro_f1_mean: float
+    macro_f1_sd: float
+    macro_auc_mean: float
+    macro_auc_sd: float
+
+    def __getitem__(self, key: str) -> float:
+        """An aggregate by its report.json key, e.g. `aggregates["macro_f1_mean"]`."""
+        return getattr(self, key)
+
+
+@dataclass
+class Failure:
+    repeat: int
+    fold: int
+    error: str  # "Type: message"
+
+
+@dataclass
 class MethodResult:
-    label: str
-    spec: IntegratorSpec
-    fold_records: list = field(default_factory=list)  # one dict per scored cell
-    class_records: list = field(default_factory=list)  # one dict per cell and class
-    per_fold_scores: list = field(default_factory=list)  # raw importance maps
-    selected_sets: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    signature: Optional[FeatureSignature] = None
-    stability: Optional[StabilityReport] = None
-    aggregates: dict = field(default_factory=dict)
+    """One method's section of the report."""
+
+    kind: str
+    aggregates: Optional[Aggregates]  # None when the method scored no cell
+    fold_records: list[FoldRecord]
+    class_records: list[ClassRecord]
+    signature: list[SignatureEntry]
+    stability: Optional[StabilityReport]
+    extras: dict[str, Any]  # the fitted integrator's extras, per "repeat:fold"
+    failures: list[Failure]
 
 
 @dataclass
@@ -349,46 +424,25 @@ class SignificanceEntry:
 
 @dataclass
 class EvaluationReport:
+    """report.json: its fields are the report's keys. `to_json` writes it,
+    and `config._build(EvaluationReport, data, "report")` reads it back."""
+
+    report_version: int
     seed: int
-    class_names: list
-    modality_names: list
+    class_names: list[str]
+    modality_names: list[str]
     repeats: int
     folds: int
-    methods: dict  # label -> MethodResult
-    significance: list
-    config_echo: Optional[dict] = None
-    report_version: int = REPORT_VERSION
+    config: Optional[ExperimentConfig]  # the resolved config of the run, if any
+    methods: dict[str, MethodResult]
+    significance: list[SignificanceEntry]
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "report_version": self.report_version,
-            "seed": self.seed,
-            "class_names": self.class_names,
-            "modality_names": self.modality_names,
-            "repeats": self.repeats,
-            "folds": self.folds,
-            "config": self.config_echo,
-            "methods": {},
-            "significance": [asdict(s) for s in self.significance],
-        }
-        for label, method in self.methods.items():
-            out["methods"][label] = {
-                "kind": method.spec.kind,
-                "aggregates": method.aggregates,
-                "fold_records": method.fold_records,
-                "class_records": method.class_records,
-                "signature": [asdict(e) for e in method.signature or []],
-                "stability": asdict(method.stability) if method.stability else None,
-                "extras": method.extras,
-                "failures": method.failures,
-            }
-        return out
+    def __post_init__(self) -> None:
+        if self.report_version != REPORT_VERSION:
+            raise ConfigError(f"report_version: is {self.report_version}, not {REPORT_VERSION}")
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    def records_csv_rows(self) -> list[dict]:
-        return [r for m in self.methods.values() for r in m.class_records]
+        return json.dumps(_echo(self), sort_keys=True, indent=2)
 
 
 def _cell_seed(seed: int, repeat: int, fold: int) -> int:
@@ -400,10 +454,10 @@ def _cell_seed(seed: int, repeat: int, fold: int) -> int:
 def _run_cell(args) -> dict:
     """Prepare one (repeat, fold) cell and fit and score every method on it.
 
-    Standalone function so cells can run in worker processes; returns each
-    method's fold and class records, as report.json writes them, keyed by
-    method label. The methods share one FitContext, so a base GBM that
-    several of them fit is fitted once.
+    Standalone function so cells can run in worker processes; returns, keyed
+    by method label, the method's `Failure`, or its fold record, class
+    records, feature scores, selected features and extras. The methods share
+    one FitContext, so a base GBM that several of them fit is fitted once.
     """
     dataset, plan, methods, cfg, seed, repeat, fold = args
     test_idx = plan.test_indices(repeat, fold)
@@ -426,29 +480,21 @@ def _run_cell(args) -> dict:
             else:
                 selected = {key for key, v in scores.items() if v > 0}
         except Exception as e:  # method failure must not sink other methods
-            out[label] = {"failure": f"{type(e).__name__}: {e}"}
+            out[label] = Failure(repeat, fold, f"{type(e).__name__}: {e}")
             continue
-        cell = {"method": label, "repeat": repeat, "fold": fold}
+        fold_record = FoldRecord(
+            label, repeat, fold, len(test_idx),
+            metrics.accuracy, metrics.macro_f1, metrics.macro_auc, metrics.unknown_rate,
+        )
         class_records = [
-            {**cell, "class_name": dataset.class_names[c.class_index], **asdict(c)}
+            ClassRecord(
+                method=label, repeat=repeat, fold=fold,
+                class_name=dataset.class_names[c.class_index],
+                **{k: v for k, v in vars(c).items() if k != "zero_division_flags"},
+            )
             for c in metrics.per_class
         ]
-        for record in class_records:
-            del record["zero_division_flags"]
-        out[label] = {
-            "fold_record": {
-                **cell,
-                "n_test": len(test_idx),
-                "accuracy": metrics.accuracy,
-                "macro_f1": metrics.macro_f1,
-                "macro_auc": metrics.macro_auc,
-                "unknown_rate": metrics.unknown_rate,
-            },
-            "class_records": class_records,
-            "scores": scores,
-            "selected": selected,
-            "extras": fitted.extras,
-        }
+        out[label] = (fold_record, class_records, scores, selected, fitted.extras)
     return out
 
 
@@ -459,12 +505,13 @@ def run_cv_benchmark(
     preprocess_cfg: PreprocessConfig,
     seed: int = 0,
     n_jobs: int = 1,
-    config_echo: Optional[dict] = None,
+    config: Optional[ExperimentConfig] = None,
 ) -> EvaluationReport:
     """Fit and score every method on every (repeat, fold) cell, then attach
     signatures, stability and pairwise corrected t-tests on the per-fold
     macro-F1 and AUC series. A pair of methods is tested on the (repeat,
-    fold) cells that both scored, and only when there are at least two."""
+    fold) cells that both scored, and only when there are at least two.
+    `config`, the run's resolved config, is echoed into the report."""
     labels = [spec.label for spec in methods]
     if len(set(labels)) != len(labels):
         raise EvaluationError("duplicate method labels; set distinct names")
@@ -481,78 +528,87 @@ def run_cv_benchmark(
     else:
         cell_results = [_run_cell(a) for a in args]
 
-    methods_out: dict[str, MethodResult] = {
-        spec.label: MethodResult(label=spec.label, spec=spec) for spec in methods
-    }
-    for (repeat, fold), result in zip(cells, cell_results):
-        for label, payload in result.items():
-            m = methods_out[label]
-            if "failure" in payload:
-                m.failures.append({"repeat": repeat, "fold": fold, "error": payload["failure"]})
-                continue
-            m.fold_records.append(payload["fold_record"])
-            m.class_records.extend(payload["class_records"])
-            m.per_fold_scores.append({k: float(v) for k, v in payload["scores"].items()})
-            m.selected_sets.append(payload["selected"])
-            m.extras[f"{repeat}:{fold}"] = payload["extras"]
-
     n_folds_total = fold_plan.repeats * fold_plan.folds_per_repeat
     raw_feature_counts = {t.modality_name: t.n_features for t in dataset.modalities}
-    for m in methods_out.values():
-        _finalize_method(m, dataset, raw_feature_counts, n_folds_total)
-
-    significance = _pairwise_significance(methods_out, dataset.n_samples, fold_plan)
+    methods_out = {
+        spec.label: _method_result(
+            spec, [r[spec.label] for r in cell_results], dataset, raw_feature_counts, n_folds_total
+        )
+        for spec in methods
+    }
     return EvaluationReport(
+        report_version=REPORT_VERSION,
         seed=seed,
         class_names=list(dataset.class_names),
         modality_names=list(dataset.modality_names),
         repeats=fold_plan.repeats,
         folds=fold_plan.folds_per_repeat,
+        config=config,
         methods=methods_out,
-        significance=significance,
-        config_echo=config_echo,
+        significance=_pairwise_significance(methods_out, dataset.n_samples, fold_plan),
     )
 
 
-def _finalize_method(
-    m: MethodResult,
+def _method_result(
+    spec: IntegratorSpec,
+    cells: list,
     dataset: MultiModalDataset,
     raw_feature_counts: dict,
     n_folds_total: int,
-) -> None:
-    spec = m.spec
-    if m.fold_records:
-        acc = [r["accuracy"] for r in m.fold_records]
-        unk = [r["unknown_rate"] for r in m.fold_records]
-        auc_vals = [r["auc"] for r in m.class_records if r["auc_valid"]]
-        m.aggregates = {
-            "accuracy_mean": float(np.mean(acc)),
-            "accuracy_sd": float(np.std(acc)),
-            "unknown_rate_mean": float(np.mean(unk)),
-            "n_folds_scored": len(m.fold_records),
-        }
-        for name in ("sensitivity", "specificity", "precision", "recall", "f1"):
-            vals = [r[name] for r in m.class_records]
-            m.aggregates[f"macro_{name}_mean"] = float(np.mean(vals))
-            m.aggregates[f"macro_{name}_sd"] = float(np.std(vals))
-        m.aggregates["macro_auc_mean"] = float(np.mean(auc_vals)) if auc_vals else 0.0
-        m.aggregates["macro_auc_sd"] = float(np.std(auc_vals)) if auc_vals else 0.0
+) -> MethodResult:
+    """A method's report section from what `_run_cell` returned for it on
+    each cell, in cell order."""
+    failures = [c for c in cells if isinstance(c, Failure)]
+    fold_records, class_records, per_fold_scores, selected_sets, extras = [], [], [], [], {}
+    for record, records, scores, selected, cell_extras in (
+        c for c in cells if not isinstance(c, Failure)
+    ):
+        fold_records.append(record)
+        class_records.extend(records)
+        per_fold_scores.append({k: float(v) for k, v in scores.items()})
+        selected_sets.append(selected)
+        extras[f"{record.repeat}:{record.fold}"] = cell_extras
 
-    if m.per_fold_scores:
-        m.signature = select_signature(m.per_fold_scores, n_folds=n_folds_total)
-
-    if len(m.selected_sets) >= 2:
+    stability = None
+    if len(selected_sets) >= 2:
+        used = spec.modalities if spec.modalities is not None else dataset.modality_names
         if spec.kind == "ML":
-            universe = dataset.n_classes * len(
-                spec.modalities if spec.modalities is not None else dataset.modality_names
-            )
+            universe = dataset.n_classes * len(used)
             caveat = META_STABILITY_CAVEAT
         else:
-            used = spec.modalities if spec.modalities is not None else dataset.modality_names
             universe = sum(raw_feature_counts[name] for name in used)
             caveat = None
-        tagged = [{f"{mod}::{feat}" for mod, feat in s} for s in m.selected_sets]
-        m.stability = stability_cwrel(tagged, universe, caveat=caveat)
+        tagged = [{f"{mod}::{feat}" for mod, feat in s} for s in selected_sets]
+        stability = stability_cwrel(tagged, universe, caveat=caveat)
+
+    return MethodResult(
+        kind=spec.kind,
+        aggregates=_aggregates(fold_records, class_records) if fold_records else None,
+        fold_records=fold_records,
+        class_records=class_records,
+        signature=select_signature(per_fold_scores, n_folds=n_folds_total).entries,
+        stability=stability,
+        extras=extras,
+        failures=failures,
+    )
+
+
+def _aggregates(fold_records: list, class_records: list) -> Aggregates:
+    acc = [r.accuracy for r in fold_records]
+    auc = [r.auc for r in class_records if r.auc_valid]
+    values = {
+        "accuracy_mean": float(np.mean(acc)),
+        "accuracy_sd": float(np.std(acc)),
+        "unknown_rate_mean": float(np.mean([r.unknown_rate for r in fold_records])),
+        "n_folds_scored": len(fold_records),
+        "macro_auc_mean": float(np.mean(auc)) if auc else 0.0,
+        "macro_auc_sd": float(np.std(auc)) if auc else 0.0,
+    }
+    for name in ("sensitivity", "specificity", "precision", "recall", "f1"):
+        vals = [getattr(r, name) for r in class_records]
+        values[f"macro_{name}_mean"] = float(np.mean(vals))
+        values[f"macro_{name}_sd"] = float(np.std(vals))
+    return Aggregates(**values)
 
 
 def _pairwise_significance(
@@ -561,20 +617,18 @@ def _pairwise_significance(
     n_test = n_samples / fold_plan.folds_per_repeat
     n_train = n_samples - n_test
     entries = []
-    for a, b in combinations(methods_out.values(), 2):
-        b_cells = {(r["repeat"], r["fold"]): r for r in b.fold_records}
+    for (label_a, a), (label_b, b) in combinations(methods_out.items(), 2):
+        b_cells = {(r.repeat, r.fold): r for r in b.fold_records}
         pairs = [
-            (r, b_cells[r["repeat"], r["fold"]])
-            for r in a.fold_records
-            if (r["repeat"], r["fold"]) in b_cells
+            (r, b_cells[r.repeat, r.fold]) for r in a.fold_records if (r.repeat, r.fold) in b_cells
         ]
         if len(pairs) < 2:
             continue  # fewer than 2 cells that both methods scored
         for metric in ("macro_f1", "macro_auc"):
-            sa = [ra[metric] for ra, _ in pairs]
-            sb = [rb[metric] for _, rb in pairs]
+            sa = [getattr(ra, metric) for ra, _ in pairs]
+            sb = [getattr(rb, metric) for _, rb in pairs]
             res = corrected_ttest(sa, sb, n_train, n_test)
             entries.append(
-                SignificanceEntry(metric=metric, method_a=a.label, method_b=b.label, **asdict(res))
+                SignificanceEntry(metric=metric, method_a=label_a, method_b=label_b, **asdict(res))
             )
     return entries

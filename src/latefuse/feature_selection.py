@@ -43,18 +43,6 @@ class BorutaResult:
     hit_counts: np.ndarray
     n_iterations: int
 
-    @property
-    def confirmed_indices(self) -> np.ndarray:
-        return np.flatnonzero([s == CONFIRMED for s in self.statuses])
-
-    @property
-    def rejected_indices(self) -> np.ndarray:
-        return np.flatnonzero([s == REJECTED for s in self.statuses])
-
-    @property
-    def tentative_indices(self) -> np.ndarray:
-        return np.flatnonzero([s == TENTATIVE for s in self.statuses])
-
 
 def _binomial_half_tails(n: int) -> tuple[np.ndarray, np.ndarray]:
     """P(X >= h) and P(X <= h) for h = 0..n, X ~ Binomial(n, 1/2), each the

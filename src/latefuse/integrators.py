@@ -736,10 +736,6 @@ class GateDecision:
 
     chosen: np.ndarray
 
-    @property
-    def unknown_mask(self) -> np.ndarray:
-        return self.chosen == UNKNOWN
-
 
 def moe_gate(per_expert: Sequence[tuple[np.ndarray, np.ndarray]]) -> GateDecision:
     """Combine one-vs-rest experts, one per class in class order.

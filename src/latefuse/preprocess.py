@@ -247,7 +247,10 @@ class KnnDonors:
 
     @cached_property
     def scaled_sq(self) -> np.ndarray:
-        return self.scaled * self.scaled
+        # above about 1.3e154 a square overflows to inf, and `_impute_screened`
+        # keeps every candidate of a row whose bound that makes infinite
+        with np.errstate(over="ignore"):
+            return self.scaled * self.scaled
 
     @cached_property
     def observed_f(self) -> np.ndarray:

@@ -1,13 +1,16 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import latefuse
 from latefuse.cli import main
+from latefuse.evaluation import corrected_ttest
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -268,10 +271,37 @@ class TestIncremental:
         assert main(["incremental", "-c", str(cfg)]) == 1
 
 
-# the five aggregates that `latefuse report` prints
-AGGREGATES = dict.fromkeys(
-    ("macro_f1_mean", "macro_f1_sd", "macro_auc_mean", "accuracy_mean", "unknown_rate_mean"), 0.5
-)
+@pytest.fixture(scope="module")
+def report_data(tmp_path_factory):
+    """A valid report of methods A and B, both scored on every cell, so both
+    have aggregates and stability, and with their t-tests."""
+    cfg = _write_config(
+        tmp_path_factory.mktemp("run") / "config.json",
+        methods=[
+            {"kind": "ENS-S", "name": "A", "base": {"n_rounds": 4, "max_depth": 2}},
+            {"kind": "CONCAT", "name": "B", "base": {"n_rounds": 4, "max_depth": 2}},
+        ],
+    )
+    assert main(["run", "-c", str(cfg)]) == 0
+    return json.loads((cfg.parent / "out" / "report.json").read_text())
+
+
+def _edit(*path, value=None):
+    """An edit that sets the report's key at `path` to `value`, or deletes it
+    when no value is given, and returns the report."""
+
+    def edit(report):
+        *parents, last = path
+        section = report
+        for key in parents:
+            section = section[key]
+        if value is None:
+            del section[last]
+        else:
+            section[last] = value
+        return report
+
+    return edit
 
 
 class TestReport:
@@ -293,25 +323,35 @@ class TestReport:
         assert main(["report", str(path)]) == 1
         assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("data, cause", [
-        ([], "the top level is not a JSON object"),
-        ({"report_version": 2, "methods": {}}, "report_version is 2, not 1"),
-        ({"methods": {"A": {"aggregates": {"x": 1}}}}, "report_version is None, not 1"),
-        ({"report_version": 1, "methods": {"A": {"aggregates": {"macro_f1_mean": 0.5}}}},
-         "method 'A' has no aggregate 'macro_f1_sd'"),
-        ({"report_version": 1, "methods": []}, "methods is not an object"),
-        ({"report_version": 1, "methods": {"A": []}}, "method 'A' is not an object"),
-        ({"report_version": 1, "methods": {}, "significance": [{}]},
-         "significance entry 0 has no numeric p_value"),
-        ({"report_version": 1,
-          "methods": {"A": {"aggregates": {**AGGREGATES, "macro_f1_mean": "x"}}}},
-         "method 'A' has aggregate 'macro_f1_mean' that is not a number"),
-        ({"report_version": 1,
-          "methods": {"A": {"aggregates": AGGREGATES, "stability": {"cw_rel": "x"}}}},
-         "method 'A' has a cw_rel that is not a number"),
+    def test_degenerate_tests_are_not_counted_significant(self, tmp_path, capsys, report_data):
+        # every paired difference is 0.5: t = 0 and p = 0, flagged degenerate
+        res = corrected_ttest([1.0, 0.5], [0.5, 0.0], n_train=2, n_test=1)
+        assert (res.p_value, res.degenerate) == (0.0, True)
+        entry = {**report_data["significance"][0], **asdict(res)}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**report_data, "significance": [entry]}))
+        assert main(["report", str(path)]) == 0
+        assert "significance: 0 of 1 pairwise tests at p < 0.05" in capsys.readouterr().out
+
+    # each case injects one defect into an otherwise valid report
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda report: [], "report: expected an object, got list"),
+        (_edit("report_version", value=2), "report.report_version: is 2, not 1"),
+        (_edit("report_version"), "report.report_version: required"),
+        (_edit("methods", "A", "aggregates", "macro_f1_sd"),
+         "report.methods['A'].aggregates.macro_f1_sd: required"),
+        (_edit("methods", value=[]), "report.methods: expected object, got list"),
+        (_edit("methods", "A", value=[]), "report.methods['A']: expected an object, got list"),
+        (_edit("significance", 0, "p_value"), "report.significance[0].p_value: required"),
+        (_edit("methods", "A", "aggregates", "macro_f1_mean", value="x"),
+         "report.methods['A'].aggregates.macro_f1_mean: expected number, got string"),
+        (_edit("methods", "A", "stability", "cw_rel", value="x"),
+         "report.methods['A'].stability.cw_rel: expected number, got string"),
     ])
-    def test_json_that_is_not_a_report_exits_one(self, tmp_path, capsys, data, cause):
+    def test_json_that_is_not_a_report_exits_one(
+        self, tmp_path, capsys, report_data, edit, cause
+    ):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(edit(copy.deepcopy(report_data))))
         assert main(["report", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: not a latefuse report ({cause})\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latefuse.cli import main
-from latefuse.config import ConfigError, load_config, parse_config
+from latefuse.config import ConfigError, _echo, load_config, parse_config
 from latefuse.integrators import INTEGRATOR_KINDS
 
 # The README's "Config schema" example, with `dataset` and without `synth`.
@@ -56,7 +56,7 @@ def _readme_with_synth() -> dict:
 
 
 def _round_trip(cfg):
-    return parse_config(json.loads(json.dumps(cfg.resolved_dict())))
+    return parse_config(json.loads(json.dumps(_echo(cfg))))
 
 
 class TestRoundTrip:
@@ -75,7 +75,7 @@ class TestRoundTrip:
         assert again == cfg
         assert again.methods[0].meta_forest.n_trees == 50
         assert again.incremental.base.n_rounds == 7
-        echo = cfg.resolved_dict()
+        echo = _echo(cfg)
         assert echo["methods"][0]["meta_forest"]["n_trees"] == 50
         assert echo["incremental"]["base"]["learning_rate"] == 0.2
 
@@ -83,7 +83,7 @@ class TestRoundTrip:
         data = _readme_with_synth()
         data["methods"] = [{"kind": "ENS-S"}, {"kind": "PBMV", "modalities": ["A"]}]
         cfg = parse_config(data)
-        assert [m["name"] for m in cfg.resolved_dict()["methods"]] == ["ENS-S", "PBMV[A]"]
+        assert [m["name"] for m in _echo(cfg)["methods"]] == ["ENS-S", "PBMV[A]"]
         assert _round_trip(cfg) == cfg
 
     def test_context_defaults_are_bound_at_parse_time(self):
@@ -92,7 +92,7 @@ class TestRoundTrip:
         cfg = parse_config(data)
         assert cfg.synth.seed == 7
         assert cfg.synth.modalities[0].name == "M0"
-        echo = json.loads(json.dumps(cfg.resolved_dict()))
+        echo = json.loads(json.dumps(_echo(cfg)))
         echo["seed"] = 99  # the echo's synth.seed stays what the file bound
         assert parse_config(echo).synth == cfg.synth
 

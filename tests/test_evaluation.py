@@ -416,8 +416,8 @@ class TestBenchmark:
         methods = [IntegratorSpec(kind="CONCAT", base=FAST)]
         report = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=7)
         m = report.methods["CONCAT"]
-        f1s = [r["f1"] for r in m.class_records]
-        assert m.aggregates["macro_f1_mean"] == pytest.approx(np.mean(f1s), abs=1e-9)
+        f1s = [r.f1 for r in m.class_records]
+        assert m.aggregates.macro_f1_mean == pytest.approx(np.mean(f1s), abs=1e-9)
 
     def test_byte_identical_reports(self):
         ds = _bench_dataset()
@@ -509,14 +509,14 @@ class TestBenchmark:
         monkeypatch.setattr(evaluation, "fit_integrator", failing)
         report = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=9)
         x, y = report.methods["X"], report.methods["Y"]
-        assert [r["fold"] for r in x.fold_records] == [1, 2, 3]
-        assert [r["fold"] for r in y.fold_records] == [0, 2, 3]
+        assert [r.fold for r in x.fold_records] == [1, 2, 3]
+        assert [r.fold for r in y.fold_records] == [0, 2, 3]
         assert [e.metric for e in report.significance] == ["macro_f1", "macro_auc"]
         n_test = ds.n_samples / 4
         for e in report.significance:
             expected = corrected_ttest(
-                [r[e.metric] for r in x.fold_records[1:]],
-                [r[e.metric] for r in y.fold_records[1:]],
+                [getattr(r, e.metric) for r in x.fold_records[1:]],
+                [getattr(r, e.metric) for r in y.fold_records[1:]],
                 ds.n_samples - n_test,
                 n_test,
             )
@@ -548,8 +548,10 @@ class TestBenchmark:
             sample_ids=list(ds.sample_ids),
         )
         methods = [IntegratorSpec(kind="ENS-S", base=FAST)]
-        a = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=11)
-        b = run_cv_benchmark(ds2, plan, methods, PreprocessConfig(), seed=11)
-        # fold (0,0): its training rows are identical in both datasets
-        assert a.methods["ENS-S"].per_fold_scores[0] == b.methods["ENS-S"].per_fold_scores[0]
-        assert a.methods["ENS-S"].selected_sets[0] == b.methods["ENS-S"].selected_sets[0]
+        # fold (0,0): its training rows are identical in both datasets, so
+        # are the fitted model's feature scores and selected features
+        a, b = (
+            evaluation._run_cell((d, plan, methods, PreprocessConfig(), 11, 0, 0))["ENS-S"][2:4]
+            for d in (ds, ds2)
+        )
+        assert a == b

@@ -549,7 +549,6 @@ class TestMoe:
             (np.array([0.1]), np.array([False])),
         ])
         assert decision.chosen.tolist() == [-1]
-        assert decision.unknown_mask.tolist() == [True]
 
     def test_gate_tie_goes_to_lower_class(self):
         decision = moe_gate([

@@ -606,7 +606,8 @@ class TestImputeKnn:
         assert (calls == []) == (twins is None)
         assert out.values.tobytes() == reference_impute_knn(train, target, CFG).tobytes()
 
-    def test_overflowing_bounds_order_by_exact_distance(self, rng, monkeypatch):
+    @staticmethod
+    def _overflowing_tables(rng):
         # a constant training column at 2^516 (about 2.7e155) has scale 1, so
         # its scaled square overflows and every row observing it has a
         # non-finite Gram bound; a row at -2^516 or 1.0 there is at an
@@ -623,8 +624,12 @@ class TestImputeKnn:
         # every candidate, or the only one, at an infinite distance
         apply_to[:2] = np.nan
         apply_to[0, 0] = apply_to[1, 4] = -big
-        train, target = make_table(values=tv), make_table(values=apply_to)
         assert _train_scale(tv)[[0, 4]].tolist() == [1.0, 1.0]
+        return make_table(values=tv), make_table(values=apply_to)
+
+    def test_overflowing_bounds_order_by_exact_distance(self, rng, monkeypatch):
+        train, target = self._overflowing_tables(rng)
+        tv, apply_to = train.values, target.values
         calls, exact = [], preprocess._exact_nearest
 
         def recorded(donors, kept, real, r, observed, m):
@@ -642,6 +647,17 @@ class TestImputeKnn:
         # rows 0 and 1 have no donor, so every missing cell takes the training mean
         mean = np.nanmean(tv, axis=0)
         np.testing.assert_array_equal(out.values[:2, 1:4], [mean[1:4], mean[1:4]])
+
+    def test_overflowing_scaled_square_does_not_warn(self, rng):
+        train, target = self._overflowing_tables(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            donors = preprocess.KnnDonors(train, CFG)
+            assert np.isinf(donors.scaled_sq[:, 0]).any()
+            out = impute_knn(train, target, CFG, donors)
+        with np.errstate(over="ignore"):
+            expected = reference_impute_knn(train, target, CFG)
+        assert out.values.tobytes() == expected.tobytes()
 
     def test_all_missing_training_feature_errors(self):
         train = make_table(values=np.column_stack([np.full(6, np.nan), np.arange(6.0)]))
@@ -973,8 +989,7 @@ class TestMemoryBounds:
         apply_to[:, 1] = 2.0**516
         train, target = make_table(values=tv), make_table(values=apply_to)
         donors = preprocess.KnnDonors(train, CFG)
-        with np.errstate(over="ignore"):  # computed outside the bound
-            donors.scaled_sq, donors.observed_f, donors.mean
+        donors.scaled_sq, donors.observed_f, donors.mean  # computed outside the bound
         assert _traced_peak_mb(lambda: impute_knn(train, target, CFG, donors)) < 8.0
 
 class TestFittedPreprocessor:

@@ -7,6 +7,8 @@ import json
 
 from latefuse import integrators, preprocess
 from latefuse.cli import main
+from latefuse.config import _build
+from latefuse.evaluation import EvaluationReport
 
 KINDS = ("CONCAT", "ENS-H", "ENS-S", "ML", "ADA-H", "ADA-S", "ADA-M", "PBMV", "MOE-COMBN")
 
@@ -46,6 +48,16 @@ EXPECTED_SHA256 = "d1503838b5ac542c4af93cf0c3d3fe61844b33be3bd440acad8e0bd2df4d7
 
 # sha256 of records.csv for CONFIG.
 RECORDS_SHA256 = "1b4fa3c785bcada8772c493cca1ee2e222f1c80a60fcaf30e5818d6ff5b0f633"
+
+# CONFIG plus a method that fails on every cell (PBMV needs two modalities),
+# so its aggregates are null.
+UNSCORED_CONFIG = {
+    **CONFIG,
+    "methods": CONFIG["methods"] + [{"kind": "PBMV", "modalities": ["A"], "name": "bad"}],
+}
+
+# sha256 of report.json for UNSCORED_CONFIG.
+UNSCORED_SHA256 = "688b7547e38c693925f36410c4b94a8e14b74bf3f67f2558ac74b40daea8b60f"
 
 # Correlation pruning drops columns in both modalities: DENSE (no missing
 # cell, strongly separated informative columns that correlate above 0.9)
@@ -154,24 +166,35 @@ INCREMENTAL_SHA256 = {
 }
 
 
-def _run(tmp_path, monkeypatch, config=CONFIG, command="run") -> None:
+def _run(tmp_path, monkeypatch, config=CONFIG, command="run", exit_code=0) -> None:
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(config))
-    assert main([command, "-c", "config.json"]) == 0
+    assert main([command, "-c", "config.json"]) == exit_code
 
 
 def _assert_digest(tmp_path, expected, name="report.json") -> None:
-    digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+    data = (tmp_path / "out" / name).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
     assert digest == expected, (
         f"{name} sha256 is {digest}, recorded {expected}. A change that moves "
         "the report's numbers on purpose re-records the digest and names the numbers "
         "that moved, and why, in CHANGES.md."
     )
+    if name == "report.json":  # the typed report reads back to the same bytes
+        report = _build(EvaluationReport, json.loads(data), "report")
+        assert report.to_json().encode("utf-8") == data
 
 
 def test_report_bytes_unchanged(tmp_path, monkeypatch):
     _run(tmp_path, monkeypatch)
     _assert_digest(tmp_path, EXPECTED_SHA256)
+
+
+def test_unscored_method_report_bytes_unchanged(tmp_path, monkeypatch):
+    _run(tmp_path, monkeypatch, UNSCORED_CONFIG, exit_code=2)
+    _assert_digest(tmp_path, UNSCORED_SHA256)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["methods"]["bad"]["aggregates"] is None
 
 
 def test_records_csv_bytes_unchanged(tmp_path, monkeypatch):
