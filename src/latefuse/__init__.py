@@ -28,7 +28,6 @@ from .evaluation import (
 from .feature_selection import (
     BorutaParams,
     BorutaResult,
-    FeatureSignature,
     StabilityReport,
     aggregate_boosted_importance,
     boruta_select,

@@ -1,8 +1,11 @@
 """Confusion-matrix metrics, one-vs-rest AUC, the corrected resampled paired
 t-test, and the repeated-CV benchmark driver.
 
-Zero-division cells (e.g. no predicted positives) score 0 and are flagged
-rather than propagating NaN, so aggregates stay defined on tiny folds.
+Zero-division cells (e.g. no predicted positives) score 0 rather than
+propagating NaN, so aggregates stay defined on tiny folds. The flags that
+name them live only on `compute_metrics`'s
+`PerClassMetrics.zero_division_flags`; they reach neither report.json nor
+records.csv.
 An abstention label (-1) never matches any class: it counts against every
 metric and is additionally reported as unknown_rate.
 
@@ -456,8 +459,8 @@ def _run_cell(args) -> dict:
 
     Standalone function so cells can run in worker processes; returns, keyed
     by method label, the method's `Failure`, or its fold record, class
-    records, feature scores, selected features and extras. The methods share
-    one FitContext, so a base GBM that several of them fit is fitted once.
+    records, feature scores and extras. The methods share one FitContext, so
+    a base GBM that several of them fit is fitted once.
     """
     dataset, plan, methods, cfg, seed, repeat, fold = args
     test_idx = plan.test_indices(repeat, fold)
@@ -475,10 +478,6 @@ def _run_cell(args) -> dict:
             )
             metrics = compute_metrics(fitted.predict(test_p), y_test)
             scores = fitted.feature_scores()
-            if spec.kind == "ML":  # every meta feature counts as selected
-                selected = set(scores)
-            else:
-                selected = {key for key, v in scores.items() if v > 0}
         except Exception as e:  # method failure must not sink other methods
             out[label] = Failure(repeat, fold, f"{type(e).__name__}: {e}")
             continue
@@ -494,7 +493,7 @@ def _run_cell(args) -> dict:
             )
             for c in metrics.per_class
         ]
-        out[label] = (fold_record, class_records, scores, selected, fitted.extras)
+        out[label] = (fold_record, class_records, scores, fitted.extras)
     return out
 
 
@@ -528,12 +527,8 @@ def run_cv_benchmark(
     else:
         cell_results = [_run_cell(a) for a in args]
 
-    n_folds_total = fold_plan.repeats * fold_plan.folds_per_repeat
-    raw_feature_counts = {t.modality_name: t.n_features for t in dataset.modalities}
     methods_out = {
-        spec.label: _method_result(
-            spec, [r[spec.label] for r in cell_results], dataset, raw_feature_counts, n_folds_total
-        )
+        spec.label: _method_result(spec, [r[spec.label] for r in cell_results], dataset)
         for spec in methods
     }
     return EvaluationReport(
@@ -549,44 +544,40 @@ def run_cv_benchmark(
     )
 
 
-def _method_result(
-    spec: IntegratorSpec,
-    cells: list,
-    dataset: MultiModalDataset,
-    raw_feature_counts: dict,
-    n_folds_total: int,
-) -> MethodResult:
+def _method_result(spec: IntegratorSpec, cells: list, dataset: MultiModalDataset) -> MethodResult:
     """A method's report section from what `_run_cell` returned for it on
-    each cell, in cell order."""
+    each plan cell, in cell order. A cell's selected features are the
+    (modality, feature) keys of its scores: all of them for ML, whose meta
+    features all count, and those scoring above 0 otherwise. Signature
+    frequencies are over every plan cell, failed ones included."""
     failures = [c for c in cells if isinstance(c, Failure)]
-    fold_records, class_records, per_fold_scores, selected_sets, extras = [], [], [], [], {}
-    for record, records, scores, selected, cell_extras in (
-        c for c in cells if not isinstance(c, Failure)
-    ):
+    fold_records, class_records, per_fold_scores, extras = [], [], [], {}
+    for record, records, scores, cell_extras in (c for c in cells if not isinstance(c, Failure)):
         fold_records.append(record)
         class_records.extend(records)
-        per_fold_scores.append({k: float(v) for k, v in scores.items()})
-        selected_sets.append(selected)
+        per_fold_scores.append(scores)
         extras[f"{record.repeat}:{record.fold}"] = cell_extras
 
     stability = None
-    if len(selected_sets) >= 2:
+    if len(per_fold_scores) >= 2:
         used = spec.modalities if spec.modalities is not None else dataset.modality_names
         if spec.kind == "ML":
             universe = dataset.n_classes * len(used)
+            selected = per_fold_scores
             caveat = META_STABILITY_CAVEAT
         else:
-            universe = sum(raw_feature_counts[name] for name in used)
+            n_features = {t.modality_name: t.n_features for t in dataset.modalities}
+            universe = sum(n_features[name] for name in used)
+            selected = [[key for key, v in s.items() if v > 0] for s in per_fold_scores]
             caveat = None
-        tagged = [{f"{mod}::{feat}" for mod, feat in s} for s in selected_sets]
-        stability = stability_cwrel(tagged, universe, caveat=caveat)
+        stability = stability_cwrel(selected, universe, caveat=caveat)
 
     return MethodResult(
         kind=spec.kind,
         aggregates=_aggregates(fold_records, class_records) if fold_records else None,
         fold_records=fold_records,
         class_records=class_records,
-        signature=select_signature(per_fold_scores, n_folds=n_folds_total).entries,
+        signature=select_signature(per_fold_scores, n_folds=len(cells)),
         stability=stability,
         extras=extras,
         failures=failures,

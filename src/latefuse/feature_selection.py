@@ -141,25 +141,12 @@ class SignatureEntry:
     frequency: float  # fraction of folds with raw score > 0
 
 
-@dataclass
-class FeatureSignature:
-    entries: list[SignatureEntry]
-    frequency_threshold: float = 0.75
-    score_threshold: float = 0.5
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def select_signature(
     per_fold_scores: Sequence[Mapping[tuple[str, str], float]],
     n_folds: Optional[int] = None,
     frequency_threshold: float = 0.75,
     score_threshold: float = 0.5,
-) -> FeatureSignature:
+) -> list[SignatureEntry]:
     """Reduce per-fold raw importance maps to the final signature.
 
     Scores are max-scaled to [0,1] per fold per modality (an all-zero
@@ -173,7 +160,6 @@ def select_signature(
         raise FeatureSelectionError("n_folds must be >= 1")
 
     seen: dict[tuple[str, str], list[float]] = {}
-    order: list[tuple[str, str]] = []
     for fold in per_fold_scores:
         max_per_modality: dict[str, float] = {}
         for (modality, _), raw in fold.items():
@@ -184,14 +170,10 @@ def select_signature(
                 continue
             top = max_per_modality[key[0]]
             scaled = raw / top if top > 0 else 0.0
-            if key not in seen:
-                seen[key] = []
-                order.append(key)
-            seen[key].append(scaled)
+            seen.setdefault(key, []).append(scaled)
 
     entries = []
-    for key in order:
-        scaled_values = seen[key]
+    for key, scaled_values in seen.items():
         frequency = len(scaled_values) / n_folds
         score = float(np.mean(scaled_values))
         if frequency >= frequency_threshold and score >= score_threshold:
@@ -199,11 +181,7 @@ def select_signature(
                 SignatureEntry(modality=key[0], feature=key[1], score=score, frequency=frequency)
             )
     entries.sort(key=lambda e: (-e.score, e.modality, e.feature))
-    return FeatureSignature(
-        entries=entries,
-        frequency_threshold=frequency_threshold,
-        score_threshold=score_threshold,
-    )
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .learners import (
     GbmParams,
     PredictionSet,
     RandomForestParams,
-    _fit_inputs,
     fit_gbm,
     fit_random_forest,
 )
@@ -174,37 +173,40 @@ class FitContext:
     `gbm` returns the model it already fitted for the same training matrix
     (the same array object), labels, weights, params and class count when
     `params.subsample` is 1: `fit_gbm` then never reads its seed, so the
-    seed is not part of the key. A request that differs from an earlier one
-    only in asking for fewer rounds is served the first rounds of the
-    longest such fit (`GbmModel.first_rounds`), which are the model a fit of
-    that many rounds would make; a longer request is fitted afresh and
-    becomes the longest. Every model served is stored under its own request,
-    so a repeated request returns the same object. Each entry keeps its
-    matrix alive, so no id is reused while the context lives; a matrix must
-    not be changed in place meanwhile. Fits with `subsample` < 1 depend on
-    the seed and are always made afresh.
+    seed is not part of the key. Labels and weights are compared by their
+    float64 bytes, absent weights as ones. A request that differs from an
+    earlier one only in asking for fewer rounds is served the first rounds
+    of the longest such fit (`GbmModel.first_rounds`), which are the model a
+    fit of that many rounds would make; a longer request is fitted afresh
+    and becomes the longest. Every model served is stored under its round
+    count, so a repeated request returns the same object. Only `fit_gbm`
+    checks the input: a request it rejects raises and stores nothing. Each
+    entry keeps its matrix alive, so no id is reused while the context
+    lives; a matrix must not be changed in place meanwhile. Fits with
+    `subsample` < 1 depend on the seed and are always made afresh.
     """
 
     def __init__(self) -> None:
-        self._fits: dict[tuple, tuple[np.ndarray, GbmModel]] = {}
-        self._longest: dict[tuple, GbmModel] = {}  # by the key without n_rounds
+        # request without n_rounds -> (its matrix, the model served per round count)
+        self._fits: dict[tuple, tuple[np.ndarray, dict[int, GbmModel]]] = {}
 
     def gbm(self, X, y, w, params: GbmParams, seed: int, K: int) -> GbmModel:
         if params.subsample < 1.0:
             return fit_gbm(X, y, w, params, seed=seed, n_classes=K)
-        # check the input before its labels and weights go into the key
-        _, w_checked, y_checked, _ = _fit_inputs(X, y, w, K)
-        base = (id(X), y_checked.tobytes(), w_checked.tobytes(), replace(params, n_rounds=0), K)
-        key = (*base, params.n_rounds)
-        entry = self._fits.get(key)
-        if entry is None:
-            longest = self._longest.get(base)
-            if longest is not None and len(longest.trees) >= params.n_rounds:
-                model = longest.first_rounds(params.n_rounds)
+        labels = np.asarray(y, dtype=np.float64)
+        weights = np.ones(labels.shape) if w is None else np.asarray(w, dtype=np.float64)
+        key = (id(X), labels.tobytes(), weights.tobytes(), replace(params, n_rounds=0), K)
+        _, served = self._fits.get(key, (X, {}))
+        model = served.get(params.n_rounds)
+        if model is None:
+            longest = max(served, default=-1)
+            if longest >= params.n_rounds:
+                model = served[longest].first_rounds(params.n_rounds)
             else:
-                model = self._longest[base] = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
-            entry = self._fits[key] = (X, model)
-        return entry[1]
+                model = fit_gbm(X, y, w, params, seed=seed, n_classes=K)
+            served[params.n_rounds] = model
+            self._fits[key] = (X, served)
+        return model
 
 
 def _fit_per_modality(fits, values, labels, weights, base, seed, n_classes) -> list[GbmModel]:

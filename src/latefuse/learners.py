@@ -170,8 +170,6 @@ class DecisionTree:
     right: np.ndarray
     leaf_values: np.ndarray
     raw_importance: np.ndarray
-    n_features: int
-    task: str
 
     def apply(self, X: np.ndarray, roots: Optional[np.ndarray] = None) -> np.ndarray:
         """Leaf node index for every row. With `roots`, the walk starts at
@@ -216,8 +214,6 @@ class DecisionTree:
                 right=np.where(is_leaf, -1, right + offset),
                 leaf_values=cat("leaf_values"),
                 raw_importance=np.sum([t.raw_importance for t in trees], axis=0),
-                n_features=trees[0].n_features,
-                task=trees[0].task,
             ),
             roots,
         )
@@ -344,8 +340,6 @@ class _TreeBuilder:
                 right=np.array(self.right, dtype=np.intp),
                 leaf_values=np.zeros(len(self.feature)),
                 raw_importance=self.importance,
-                n_features=self.X.shape[1],
-                task=self.params.task,
             ),
             self.leaf_of,
         )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from latefuse import evaluation
-from latefuse.data import make_fold_plan
+from latefuse.data import ModalityTable, MultiModalDataset, make_fold_plan
 from latefuse.evaluation import (
     EvaluationError,
     MetricSet,
@@ -511,6 +511,9 @@ class TestBenchmark:
         x, y = report.methods["X"], report.methods["Y"]
         assert [r.fold for r in x.fold_records] == [1, 2, 3]
         assert [r.fold for r in y.fold_records] == [0, 2, 3]
+        # signature frequencies count every plan cell, the failed one too: a
+        # feature scored in all 3 of X's scored cells reads 3/4, not 1
+        assert x.signature and {e.frequency for e in x.signature} == {0.75}
         assert [e.metric for e in report.significance] == ["macro_f1", "macro_auc"]
         n_test = ds.n_samples / 4
         for e in report.significance:
@@ -534,8 +537,6 @@ class TestBenchmark:
     def test_no_leakage_of_test_labels(self):
         # scrambling the labels of one fold's test samples must not change
         # the model fitted on that fold (same plan, same training rows)
-        from latefuse.data import MultiModalDataset
-
         ds = _bench_dataset()
         plan = make_fold_plan(ds.labels, repeats=1, folds=3, seed=10)
         test_idx = plan.test_indices(0, 0)
@@ -549,9 +550,27 @@ class TestBenchmark:
         )
         methods = [IntegratorSpec(kind="ENS-S", base=FAST)]
         # fold (0,0): its training rows are identical in both datasets, so
-        # are the fitted model's feature scores and selected features
+        # are the fitted model's feature scores, and with them the selected
+        # features, which the report derives from the scores
         a, b = (
-            evaluation._run_cell((d, plan, methods, PreprocessConfig(), 11, 0, 0))["ENS-S"][2:4]
+            evaluation._run_cell((d, plan, methods, PreprocessConfig(), 11, 0, 0))["ENS-S"][2]
             for d in (ds, ds2)
         )
         assert a == b
+
+    def test_features_whose_joined_names_collide_stay_distinct(self):
+        # modality "A" with feature "B::C" and modality "A::B" with feature
+        # "C": joined as "modality::feature" both would read "A::B::C"
+        rng = np.random.default_rng(4)
+        y = np.repeat([0, 1, 2], 20)
+        ids = [f"s{i}" for i in range(60)]
+        tables = [
+            ModalityTable(name, ids, [feat], (y == k)[:, None] * 3.0 + rng.normal(size=(60, 1)))
+            for name, feat, k in (("A", "B::C", 0), ("A::B", "C", 2))
+        ]
+        ds = MultiModalDataset(tables, y, ["C0", "C1", "C2"], ids)
+        plan = make_fold_plan(ds.labels, repeats=1, folds=3, seed=4)
+        methods = [IntegratorSpec(kind="CONCAT", base=FAST)]
+        m = run_cv_benchmark(ds, plan, methods, PreprocessConfig(), seed=4).methods["CONCAT"]
+        assert {(e.modality, e.feature) for e in m.signature} == {("A", "B::C"), ("A::B", "C")}
+        assert (m.stability.union_size, m.stability.universe_size) == (2, 2)

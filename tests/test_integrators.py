@@ -27,7 +27,13 @@ from latefuse.integrators import (
     vote_hard,
     vote_soft,
 )
-from latefuse.learners import GbmParams, PredictionSet, RandomForestParams, fit_gbm
+from latefuse.learners import (
+    GbmParams,
+    LearnerError,
+    PredictionSet,
+    RandomForestParams,
+    fit_gbm,
+)
 from latefuse.preprocess import PreprocessConfig
 from latefuse.synth import ModalitySpec, SynthSpec, generate
 
@@ -780,6 +786,24 @@ class TestFitContext:
         for X_r, y_r, w_r, params, K in requests:
             fits.gbm(X_r, y_r, w_r, params, 0, K)
         assert len(fitted_rounds) == 1 + len(requests)
+
+    def test_a_rejected_request_stores_nothing(self, rng, fitted_rounds):
+        tables, y = _two_modality_data(rng)
+        X, w = tables[0].values, np.ones(len(y))
+        nan_labels = y.astype(np.float64)
+        nan_labels[0] = np.nan
+        fits = FitContext()
+        with pytest.raises(LearnerError, match="non-finite target"):
+            fits.gbm(X, nan_labels, w, FAST, 0, 3)
+        model = fits.gbm(X, y, w, FAST, 0, 3)
+        assert fitted_rounds == [12, 12]  # the valid request on the same X is fitted
+        assert fits.gbm(X, y, None, FAST, 0, 3) is model  # no weights are ones
+        np.testing.assert_array_equal(
+            model.decision_scores(X), fit_gbm(X, y, w, FAST, n_classes=3).decision_scores(X)
+        )
+        with pytest.raises(LearnerError, match="non-finite target"):
+            fits.gbm(X, nan_labels, w, FAST, 0, 3)
+        assert fitted_rounds == [12, 12, 12]
 
     def test_pbmv_view_that_fits_exactly_keeps_one_model(self, rng):
         tables, y = _two_modality_data(rng, sep=4.0)

@@ -406,7 +406,7 @@ def reference_fit_gbm(X, y, sample_weight=None, params=GbmParams(), seed=0, n_cl
                 tree = fit_tree(X_round, r_sub, w_sub, tree_params)
             else:  # fit_tree rejects all-zero weights; fit_gbm grows one leaf
                 one = np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1])
-                tree = DecisionTree(*one, None, np.zeros(X.shape[1]), X.shape[1], "regression")
+                tree = DecisionTree(*one, None, np.zeros(X.shape[1]))
             leaves_sub = tree.apply(X_round)
             num, den = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
             np.add.at(num, leaves_sub, w_sub * r_sub)
@@ -704,8 +704,6 @@ def oracle_tree(X, y, w, params, rng=None):
         right=np.array(right, dtype=np.intp),
         leaf_values=None,
         raw_importance=importance,
-        n_features=F,
-        task=params.task,
     )
     sums, total = np.zeros((len(nodes), targets.shape[1])), np.zeros(len(nodes))
     for i, leaf in enumerate(reference_walk(tree, X)):
