@@ -2,7 +2,7 @@
 
 A dataset is a list of modality tables sharing one ordered sample list and one
 class label per sample. All downstream components treat these objects as
-immutable; fold plans are fully reproducible from their seed.
+immutable; a fold plan is fully reproducible from the seed it is made with.
 """
 
 from __future__ import annotations
@@ -150,7 +150,6 @@ class FoldPlan:
     repeats: int
     folds_per_repeat: int
     assignments: tuple  # assignments[repeat][fold] -> np.ndarray of test indices
-    seed: int
 
     def test_indices(self, repeat: int, fold: int) -> np.ndarray:
         return self.assignments[repeat][fold]
@@ -327,9 +326,4 @@ def make_fold_plan(labels: np.ndarray, repeats: int, folds: int, seed: int) -> F
                 buckets[(start + k) % folds].append(int(idx))
         fold_arrays = tuple(np.array(sorted(b), dtype=np.intp) for b in buckets)
         all_repeats.append(fold_arrays)
-    return FoldPlan(
-        repeats=repeats,
-        folds_per_repeat=folds,
-        assignments=tuple(all_repeats),
-        seed=seed,
-    )
+    return FoldPlan(repeats=repeats, folds_per_repeat=folds, assignments=tuple(all_repeats))

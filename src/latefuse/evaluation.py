@@ -2,10 +2,7 @@
 t-test, and the repeated-CV benchmark driver.
 
 Zero-division cells (e.g. no predicted positives) score 0 rather than
-propagating NaN, so aggregates stay defined on tiny folds. The flags that
-name them live only on `compute_metrics`'s
-`PerClassMetrics.zero_division_flags`; they reach neither report.json nor
-records.csv.
+propagating NaN, so aggregates stay defined on tiny folds.
 An abstention label (-1) never matches any class: it counts against every
 metric and is additionally reported as unknown_rate.
 
@@ -24,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from itertools import combinations
 from typing import Any, Optional, Sequence
 
@@ -72,13 +69,10 @@ def confusion_counts(pred_labels: np.ndarray, truth: np.ndarray, n_classes: int)
     return np.stack([tp, fp, len(truth) - tp - fp - fn, fn], axis=1)
 
 
-_RATE_NAMES = ("sensitivity", "specificity", "precision", "f1")
-
-
-def _class_rates(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _class_rates(counts: np.ndarray) -> np.ndarray:
     """Sensitivity, specificity, precision and F1 of every class from the
-    (K, 4) counts, as rows of a (4, K) array in _RATE_NAMES order, plus a
-    (4, K) mask of the rates whose denominator was 0 and which score 0."""
+    (K, 4) counts, as the rows of a (4, K) array; a rate whose denominator
+    is 0 scores 0."""
 
     def ratio(num, den):
         return np.divide(num, den, out=np.zeros(len(den)), where=den != 0)
@@ -86,15 +80,14 @@ def _class_rates(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tp, fp, tn, fn = counts.T
     sens, spec, prec = ratio(tp, tp + fn), ratio(tn, tn + fp), ratio(tp, tp + fp)
     f1 = ratio(2 * prec * sens, prec + sens)
-    zero = np.array([tp + fn == 0, tn + fp == 0, tp + fp == 0, prec + sens == 0])
     # each macro is np.mean over one contiguous row, which adds in the
     # same order as a mean over a list of the per-class values
-    return np.array([sens, spec, prec, f1]), zero
+    return np.array([sens, spec, prec, f1])
 
 
 def macro_f1(pred_labels: np.ndarray, truth: np.ndarray, n_classes: int) -> float:
     """Unweighted mean of per-class one-vs-rest F1 scores."""
-    rates, _ = _class_rates(confusion_counts(pred_labels, truth, n_classes))
+    rates = _class_rates(confusion_counts(pred_labels, truth, n_classes))
     return float(np.mean(rates[3]))
 
 
@@ -113,7 +106,6 @@ class PerClassMetrics:
     f1: float
     auc: float
     auc_valid: bool
-    zero_division_flags: list = field(default_factory=list)
 
 
 @dataclass
@@ -173,7 +165,7 @@ def compute_metrics(predictions: PredictionSet, truth: np.ndarray) -> MetricSet:
     n_classes = predictions.n_classes
     n = len(truth)
     counts = confusion_counts(predictions.labels, truth, n_classes)
-    rates, zero = _class_rates(counts)
+    rates = _class_rates(counts)
     aucs, auc_valid = auc_per_class(predictions.probabilities, truth, n_classes)
     per_class = [
         PerClassMetrics(
@@ -187,7 +179,6 @@ def compute_metrics(predictions: PredictionSet, truth: np.ndarray) -> MetricSet:
             f1=f1,
             auc=float(aucs[k]),
             auc_valid=bool(auc_valid[k]),
-            zero_division_flags=[name for name, z in zip(_RATE_NAMES, zero[:, k]) if z],
         )
         for k, ((tp, fp, tn, fn), (sens, spec, prec, f1)) in enumerate(
             zip(counts.tolist(), rates.T.tolist())
@@ -488,8 +479,7 @@ def _run_cell(args) -> dict:
         class_records = [
             ClassRecord(
                 method=label, repeat=repeat, fold=fold,
-                class_name=dataset.class_names[c.class_index],
-                **{k: v for k, v in vars(c).items() if k != "zero_division_flags"},
+                class_name=dataset.class_names[c.class_index], **vars(c),
             )
             for c in metrics.per_class
         ]

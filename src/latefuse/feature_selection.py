@@ -141,21 +141,22 @@ class SignatureEntry:
     frequency: float  # fraction of folds with raw score > 0
 
 
+SIGNATURE_FREQUENCY_THRESHOLD = 0.75
+SIGNATURE_SCORE_THRESHOLD = 0.5
+
+
 def select_signature(
     per_fold_scores: Sequence[Mapping[tuple[str, str], float]],
-    n_folds: Optional[int] = None,
-    frequency_threshold: float = 0.75,
-    score_threshold: float = 0.5,
+    n_folds: int,
 ) -> list[SignatureEntry]:
     """Reduce per-fold raw importance maps to the final signature.
 
     Scores are max-scaled to [0,1] per fold per modality (an all-zero
-    fold/modality stays zero). A feature's frequency is the fraction of folds
-    with raw score > 0; its score is the mean scaled value over those folds.
-    Entries must pass both thresholds.
+    fold/modality stays zero). A feature's frequency is its number of folds
+    with raw score > 0 over `n_folds`; its score is the mean scaled value
+    over those folds. Entries must reach both SIGNATURE_FREQUENCY_THRESHOLD
+    and SIGNATURE_SCORE_THRESHOLD.
     """
-    if n_folds is None:
-        n_folds = len(per_fold_scores)
     if n_folds < 1:
         raise FeatureSelectionError("n_folds must be >= 1")
 
@@ -176,7 +177,7 @@ def select_signature(
     for key, scaled_values in seen.items():
         frequency = len(scaled_values) / n_folds
         score = float(np.mean(scaled_values))
-        if frequency >= frequency_threshold and score >= score_threshold:
+        if frequency >= SIGNATURE_FREQUENCY_THRESHOLD and score >= SIGNATURE_SCORE_THRESHOLD:
             entries.append(
                 SignatureEntry(modality=key[0], feature=key[1], score=score, frequency=frequency)
             )

@@ -8,16 +8,22 @@ for downstream signature selection, and `extras` holds the kind's
 JSON-ready diagnostics for the report. The incremental modality-subset
 selector lives here too.
 
-Every base GBM is fitted through a `FitContext`, and a CV cell makes one
-for all of its methods. At `subsample` 1 a GBM fit draws nothing from its
-seed, so the context fits each (training matrix, labels, weights, params)
-once and hands the same model to every request for it: ENS-H, ENS-S, ML's
-full-data base models and the first round of ADA-* and PBMV share one
-model per modality, and a PBMV view whose weights stop changing reuses its
-fit in every later round. A request for fewer rounds than a fit already made
-on the same inputs gets that fit's first rounds, so a PBMV or ADA-* base
-shorter than the ensembles' is not boosted again. Seeded fits
-(`subsample` < 1) are never shared.
+Every base GBM fitted on a cell's own training tables goes through a
+`FitContext`, and a CV cell makes one for all of its methods. At `subsample`
+1 a GBM fit draws nothing from its seed, so the context fits each (training
+matrix, labels, weights, params) once and hands the same model to every
+request for it: ENS-H, ENS-S, ML's full-data base models and the first round
+of ADA-* and PBMV share one model per modality, and a PBMV view whose weights
+stop changing reuses its fit in every later round. A request for fewer rounds
+than a fit already made on the same inputs gets that fit's first rounds, so a
+PBMV or ADA-* base shorter than the ensembles' is not boosted again. Seeded
+fits (`subsample` < 1) are never shared. The out-of-fold fits behind ML's and
+ADA-M's stacked features are each on a fresh row slice, which no other
+request shares, so they call `fit_gbm` directly.
+
+ENS-H, ENS-S, ML and each ADA-* round combine their per-modality predictions
+through one rule: `vote_hard`, `vote_soft`, or `_stack_meta`, a random
+forest on the stacked per-modality probabilities.
 
 Method kinds (config vocabulary):
 
@@ -25,8 +31,8 @@ Method kinds (config vocabulary):
     ENS-H      per-modality models, hard (majority) vote
     ENS-S      per-modality models, soft (mean-probability) vote
     ML         per-modality models, random-forest meta learner on their outputs
-    ADA-H/S/M  multi-modal boosting; per-round aggregation by hard vote,
-               soft vote, or a per-round meta learner
+    ADA-H/S/M  multi-modal boosting; each round's models combined by ENS-H's,
+               ENS-S's or ML's rule (with a meta learner of the round's own)
     PBMV       boosting with learned per-classifier and per-view weights
     MOE-COMBN  one-vs-rest expert ensembles combined by a gating rule
 """
@@ -98,6 +104,9 @@ class IntegratorSpec:
             raise IntegrationError("soft_confidence_ratio: must exceed 1")
         if self.modalities is not None and len(self.modalities) == 0:
             raise IntegrationError("empty modality subset")
+        if self.modalities is not None and len(set(self.modalities)) < len(self.modalities):
+            repeated = sorted({m for m in self.modalities if self.modalities.count(m) > 1})
+            raise IntegrationError(f"modalities: repeated modality name(s) {repeated}")
         if self.inner_folds < 2:
             raise IntegrationError("inner_folds: must be >= 2")
         if self.ada_inner_folds < 2:
@@ -169,6 +178,11 @@ def _fitted(spec, tables, importances, predict_values, extras=None) -> FittedInt
 
 class FitContext:
     """The base-GBM fits of one CV cell, shared by all of its methods.
+
+    Every per-modality, CONCAT, boosting-round and expert fit on the cell's
+    training tables is requested here. The out-of-fold fits of stacking
+    (`_oof_meta_features`) are not: each is on a fresh row slice, whose id
+    no other request carries, so the context could never serve one.
 
     `gbm` returns the model it already fitted for the same training matrix
     (the same array object), labels, weights, params and class count when
@@ -265,16 +279,11 @@ def vote_hard(per_modality: Sequence[PredictionSet]) -> PredictionSet:
     """
     _check_parts(per_modality)
     votes, counts = _vote_counts(per_modality)
-
-    max_count = counts.max(axis=1)
-    labels = np.argmax(counts, axis=1)
-    tied = (counts == max_count[:, None]).sum(axis=1) > 1
-    for i in np.flatnonzero(tied):
-        for vote in votes[i]:
-            if counts[i, vote] == max_count[i]:
-                labels[i] = vote
-                break
-    return PredictionSet(labels=labels, probabilities=counts / votes.shape[1])
+    rows = np.arange(len(votes))
+    # each modality's vote count; the first maximum is the earliest modality
+    # whose vote has the most votes, which is the unique winner when untied
+    first = np.argmax(counts[rows[:, None], votes], axis=1)
+    return PredictionSet(labels=votes[rows, first], probabilities=counts / votes.shape[1])
 
 
 def vote_soft(per_modality: Sequence[PredictionSet]) -> PredictionSet:
@@ -359,8 +368,9 @@ def fit_concat(
 # ---------------------------------------------------------------------------
 
 
-def _predict_vote(values, *, models, vote):
-    return vote(_predict_each(models, values))
+def _predict_combined(values, *, models, combine):
+    """The per-modality models' predictions, combined by one rule."""
+    return combine(_predict_each(models, values))
 
 
 def fit_vote(
@@ -376,10 +386,10 @@ def fit_vote(
     models = _fit_per_modality(
         fits, [t.values for t in tables], labels, np.ones(len(labels)), spec.base, seed, n_classes
     )
-    vote = vote_hard if spec.kind == "ENS-H" else vote_soft
+    combine = vote_hard if spec.kind == "ENS-H" else vote_soft
     return _fitted(
         spec, tables, [m.feature_importances_ for m in models],
-        partial(_predict_vote, models=models, vote=vote),
+        partial(_predict_combined, models=models, combine=combine),
     )
 
 
@@ -389,19 +399,20 @@ def fit_vote(
 
 
 def _oof_meta_features(
-    fits: FitContext,
     values: Sequence[np.ndarray],
     labels: np.ndarray,
+    w: np.ndarray,
     base: GbmParams,
     n_classes: int,
     inner_folds: int,
     seed: int,
-    sample_weight: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Out-of-fold class probabilities per modality (K columns per modality).
+    """Out-of-fold class probabilities per modality (K columns per modality),
+    from base models fitted under the sample weights `w`.
 
     Keeps the meta model from learning base-model overfit: each row's meta
-    features come from base models that never saw that row.
+    features come from base models that never saw that row. Each fit is on
+    a fresh row slice, so it calls `fit_gbm` without a FitContext.
     """
     try:
         plan = make_fold_plan(labels, repeats=1, folds=inner_folds, seed=seed)
@@ -409,22 +420,21 @@ def _oof_meta_features(
         raise IntegrationError(f"inner fold infeasible: {e}") from None
     n = len(labels)
     meta = np.zeros((n, len(values) * n_classes), dtype=np.float64)
-    w = sample_weight if sample_weight is not None else np.ones(n)
     for _, f in plan.cells():
         test_idx = plan.test_indices(0, f)
         train_idx = plan.train_indices(0, f, n)
         for m, x in enumerate(values):
-            model = fits.gbm(
+            model = fit_gbm(
                 x[train_idx], labels[train_idx], w[train_idx], base,
-                seed + 31 * m + 7 * f, n_classes,
+                seed=seed + 31 * m + 7 * f, n_classes=n_classes,
             )
             probs = model.predict_proba(x[test_idx]).probabilities
             meta[test_idx, m * n_classes : (m + 1) * n_classes] = probs
     return meta
 
 
-def _predict_meta(values, *, base_models, forest):
-    parts = _predict_each(base_models, values)
+def _stack_meta(parts, *, forest):
+    """The meta forest on the stacked per-modality probabilities."""
     return forest.predict_proba(np.hstack([p.probabilities for p in parts]))
 
 
@@ -447,7 +457,7 @@ def fit_meta_learner(
         fits, values, labels, np.ones(len(labels)), spec.base, seed, n_classes
     )
     meta = _oof_meta_features(
-        fits, values, labels, spec.base, n_classes, spec.inner_folds, seed + 811
+        values, labels, np.ones(len(labels)), spec.base, n_classes, spec.inner_folds, seed + 811
     )
     forest = fit_random_forest(meta, labels, spec.meta_forest, seed=seed + 977, n_classes=n_classes)
     names = [t.modality_name for t in tables]
@@ -459,7 +469,9 @@ def fit_meta_learner(
         modality_names=names,
         feature_names=[[f"meta_proba_{k}" for k in range(n_classes)] for _ in names],
         importances=importances,
-        predict_values=partial(_predict_meta, base_models=base_models, forest=forest),
+        predict_values=partial(
+            _predict_combined, models=base_models, combine=partial(_stack_meta, forest=forest)
+        ),
         extras={"modality_relevance": relevance},
     )
 
@@ -471,21 +483,11 @@ def fit_meta_learner(
 _ADA_AGGREGATORS = {"ADA-H": "hard", "ADA-S": "soft", "ADA-M": "meta"}
 
 
-def _ada_aggregate(aggregator: str, parts, meta_forest) -> PredictionSet:
-    """One round's combined prediction: hard or soft vote, or the round's
-    meta forest on the stacked per-modality probabilities (ADA-M)."""
-    if aggregator == "hard":
-        return vote_hard(parts)
-    if aggregator == "soft":
-        return vote_soft(parts)
-    return meta_forest.predict_proba(np.hstack([p.probabilities for p in parts]))
-
-
 def _predict_ada(values, *, rounds, aggregator, n_classes):
     n = len(values[0])
     scores = np.zeros((n, n_classes), dtype=np.float64)
-    for alpha, models, meta_forest in rounds:
-        agg = _ada_aggregate(aggregator, _predict_each(models, values), meta_forest)
+    for alpha, models, combine in rounds:
+        agg = combine(_predict_each(models, values))
         if aggregator == "soft":
             scores += alpha * agg.probabilities
         else:
@@ -517,20 +519,20 @@ def fit_adaboost_mm(
     n = len(labels)
     K = n_classes
     w = np.ones(n)  # kept normalized to sum n
-    rounds: list[tuple] = []  # (alpha, per-modality models, ADA-M meta forest or None)
+    rounds: list[tuple] = []  # (alpha, per-modality models, their combine rule)
 
     for t in range(spec.boosting_rounds):
         models = _fit_per_modality(fits, values, labels, w, spec.base, seed + 1009 * t, K)
         parts = _predict_each(models, values)
-        meta_forest = None
         if aggregator == "meta":
             meta_oof = _oof_meta_features(
-                fits, values, labels, spec.base, K, spec.ada_inner_folds, seed + 1013 * t, w
+                values, labels, w, spec.base, K, spec.ada_inner_folds, seed + 1013 * t
             )
-            meta_forest = _fit_weighted_forest(
-                meta_oof, labels, spec.meta_forest, w, seed + 1019 * t, K
-            )
-        aggregated = _ada_aggregate(aggregator, parts, meta_forest)
+            forest = _fit_weighted_forest(meta_oof, labels, spec.meta_forest, w, seed + 1019 * t, K)
+            combine = partial(_stack_meta, forest=forest)
+        else:
+            combine = vote_hard if aggregator == "hard" else vote_soft
+        aggregated = combine(parts)
 
         correct = adaboost_high_confidence(
             parts, labels, aggregator, spec.soft_confidence_ratio, aggregated
@@ -538,13 +540,13 @@ def fit_adaboost_mm(
         eps = float(w[~correct].sum() / w.sum())
 
         if eps <= 0.0:
-            rounds.append((_ALPHA_CAP + math.log(K - 1), models, meta_forest))
+            rounds.append((_ALPHA_CAP + math.log(K - 1), models, combine))
             break
         if eps >= 1.0 - 1.0 / K:
             w = np.ones(n)  # discard round, restart from uniform weights
             continue
         alpha = math.log((1.0 - eps) / eps) + math.log(K - 1)
-        rounds.append((alpha, models, meta_forest))
+        rounds.append((alpha, models, combine))
         w = w * np.where(correct, 1.0, math.exp(alpha))
         w = w * (n / w.sum())
 

@@ -291,6 +291,8 @@ _BAD_CONFIGS = {
     "zero_smote_k": ({"methods": [{"kind": "MOE-COMBN", "smote_k": 0}]}, "methods[0].smote_k"),
     "unknown_modality": ({"methods": [{"kind": "ENS-S"}, {"kind": "ENS-S", "modalities": ["Z"]}]},
                          "methods[1].modalities"),
+    "repeated_modality": ({"methods": [{"kind": "ENS-S", "modalities": ["A", "A"]}]},
+                          "methods[0].modalities"),
     "one_fold": ({"folds": {"repeats": 1, "folds": 1}}, "folds.folds"),
     "zero_repeats": ({"folds": {"repeats": 0, "folds": 3}}, "folds.repeats"),
     "one_incremental_inner_fold": ({"incremental": {"inner_folds": 1}}, "incremental.inner_folds"),

@@ -45,9 +45,7 @@ def _preds(labels, n_classes, probabilities=None):
 
 
 def _reference_safe_div(num, den):
-    if den == 0:
-        return 0.0, True
-    return num / den, False
+    return 0.0 if den == 0 else num / den
 
 
 def reference_compute_metrics(predictions, truth):
@@ -66,24 +64,15 @@ def reference_compute_metrics(predictions, truth):
         fp = int(np.sum(pred_pos & ~true_pos))
         fn = int(np.sum(~pred_pos & true_pos))
         tn = n - tp - fp - fn
-        flags = []
-        sens, fl = _reference_safe_div(tp, tp + fn)
-        if fl:
-            flags.append("sensitivity")
-        spec, fl = _reference_safe_div(tn, tn + fp)
-        if fl:
-            flags.append("specificity")
-        prec, fl = _reference_safe_div(tp, tp + fp)
-        if fl:
-            flags.append("precision")
-        f1, fl = _reference_safe_div(2 * prec * sens, prec + sens)
-        if fl:
-            flags.append("f1")
+        sens = _reference_safe_div(tp, tp + fn)
+        spec = _reference_safe_div(tn, tn + fp)
+        prec = _reference_safe_div(tp, tp + fp)
+        f1 = _reference_safe_div(2 * prec * sens, prec + sens)
         per_class.append(
             PerClassMetrics(
                 class_index=k, tp=tp, fp=fp, tn=tn, fn=fn, accuracy=(tp + tn) / n,
                 sensitivity=sens, specificity=spec, precision=prec, recall=sens, f1=f1,
-                auc=float(aucs[k]), auc_valid=bool(auc_valid[k]), zero_division_flags=flags,
+                auc=float(aucs[k]), auc_valid=bool(auc_valid[k]),
             )
         )
     return MetricSet(
@@ -166,9 +155,9 @@ class TestComputeMetrics:
         pred = np.zeros(20, dtype=int)
         m = compute_metrics(_preds(pred, 4), truth)
         assert m.accuracy == pytest.approx(0.25)
-        flagged = [c for c in m.per_class if "precision" in c.zero_division_flags]
-        assert len(flagged) == 3
-        assert all(c.precision == 0.0 for c in flagged)
+        never_predicted = [c for c in m.per_class if c.tp + c.fp == 0]
+        assert [c.class_index for c in never_predicted] == [1, 2, 3]
+        assert all(c.precision == 0.0 for c in never_predicted)
 
     def test_recall_equals_sensitivity(self, rng):
         truth = rng.integers(0, 3, 30)

@@ -81,6 +81,41 @@ class TestVoteHard:
             vote_hard([])
 
 
+def _loop_vote_hard_labels(votes, counts):
+    """The per-row tie rule: on a tied row, the earliest modality's vote
+    among the tied classes; otherwise the class with the most votes."""
+    max_count = counts.max(axis=1)
+    labels = np.argmax(counts, axis=1)
+    tied = (counts == max_count[:, None]).sum(axis=1) > 1
+    for i in np.flatnonzero(tied):
+        for vote in votes[i]:
+            if counts[i, vote] == max_count[i]:
+                labels[i] = vote
+                break
+    return labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_modalities=st.integers(1, 7),
+    n_classes=st.integers(2, 5),
+    data=st.data(),
+)
+def test_vote_hard_is_the_per_row_tie_loop(n_modalities, n_classes, data):
+    # a few votes over a few classes tie often: two classes at an even
+    # modality count, or votes spread evenly over three or more classes
+    n_samples = data.draw(st.integers(1, 12))
+    row = st.lists(
+        st.integers(0, n_classes - 1), min_size=n_modalities, max_size=n_modalities
+    )
+    votes = np.array(data.draw(st.lists(row, min_size=n_samples, max_size=n_samples)))
+    parts = [_pred(votes[:, m], n_classes) for m in range(n_modalities)]
+    counts = np.stack([np.bincount(v, minlength=n_classes) for v in votes]).astype(float)
+    out = vote_hard(parts)
+    np.testing.assert_array_equal(out.labels, _loop_vote_hard_labels(votes, counts))
+    np.testing.assert_array_equal(out.probabilities, counts / n_modalities)
+
+
 class TestVoteSoft:
     def test_mean_and_argmax(self):
         out = vote_soft([_prob_pred([[0.6, 0.4]]), _prob_pred([[0.3, 0.7]])])
@@ -222,17 +257,24 @@ class TestVotingIntegrators:
         assert all(k[0] in ("A", "B") for k in keys)
         assert len(keys) == 9
 
-    def test_ada_soft_one_round_equals_soft_vote(self, rng):
+    @pytest.mark.parametrize(
+        "ens_kind, ada_kind", [("ENS-S", "ADA-S"), ("ENS-H", "ADA-H")], ids=["ADA-S", "ADA-H"]
+    )
+    def test_ada_soft_one_round_equals_soft_vote(self, rng, ens_kind, ada_kind):
+        # one kept round combines its models by the ensemble's own rule; ADA-H
+        # scores that round's labels only, so it matches ENS-H on labels
         tables, y = _two_modality_data(rng)
-        ens = fit_vote(tables, y, IntegratorSpec(kind="ENS-S", base=FAST), 3, seed=9)
+        ens = fit_vote(tables, y, IntegratorSpec(kind=ens_kind, base=FAST), 3, seed=9)
         ada = fit_adaboost_mm(
-            tables, y, IntegratorSpec(kind="ADA-S", base=FAST, boosting_rounds=1), 3, seed=9
+            tables, y, IntegratorSpec(kind=ada_kind, base=FAST, boosting_rounds=1), 3, seed=9
         )
-        np.testing.assert_allclose(
-            ens.predict(tables).probabilities,
-            ada.predict(tables).probabilities,
-            atol=1e-12,
-        )
+        assert len(ada.extras["round_weights"]) == 1
+        ens_pred, ada_pred = ens.predict(tables), ada.predict(tables)
+        np.testing.assert_array_equal(ens_pred.labels, ada_pred.labels)
+        if ada_kind == "ADA-S":
+            np.testing.assert_allclose(
+                ens_pred.probabilities, ada_pred.probabilities, atol=1e-12
+            )
 
 
 def _samme_oracle(X, y, n_classes, base, rounds, seed):
@@ -687,7 +729,7 @@ class TestFitContext:
         ens_h = models_of["ENS-H"]["models"]
         shared = [
             models_of["ENS-S"]["models"],
-            models_of["ML"]["base_models"],
+            models_of["ML"]["models"],
             *(models_of[kind]["rounds"][0][1] for kind in ("ADA-H", "ADA-S", "ADA-M")),
             [view[0] for view in models_of["PBMV"]["models"]],
         ]
@@ -868,3 +910,7 @@ class TestDispatch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(IntegrationError, match="unknown integrator kind"):
             IntegratorSpec(kind="NOPE")
+
+    def test_repeated_modality_rejected(self):
+        with pytest.raises(IntegrationError, match=r"modalities: repeated modality name.*'A'"):
+            IntegratorSpec(kind="ENS-S", modalities=("A", "B", "A"))

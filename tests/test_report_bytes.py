@@ -267,10 +267,13 @@ def test_wide_split_search_report_bytes_unchanged(tmp_path, monkeypatch):
 
 
 def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
-    # Over both cells the methods ask for 104 base GBMs. 44 of them repeat an
-    # earlier request of their cell at subsample 1 (ENS-H/ENS-S, ML's base
-    # models, round 1 of each ADA-* and PBMV, and PBMV's later rounds once a
-    # view fits its training rows), so 60 are fitted.
+    # Over both cells the methods ask the FitContext for 80 base GBMs. 44 of
+    # them repeat an earlier request of their cell at subsample 1 (ENS-H/ENS-S,
+    # ML's base models, round 1 of each ADA-* and PBMV, and PBMV's later rounds
+    # once a view fits its training rows), so 36 are fitted there. The 24
+    # out-of-fold fits of stacking (per cell, ML's and ADA-M's one round each
+    # fit 2 inner folds x 3 modalities) bypass the context and call fit_gbm
+    # directly: 60 fits.
     counts = {"requests": 0, "fits": 0}
     request, fit = integrators.FitContext.gbm, integrators.fit_gbm
 
@@ -285,7 +288,7 @@ def test_each_shared_base_model_is_fitted_once_per_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(integrators.FitContext, "gbm", counted_request)
     monkeypatch.setattr(integrators, "fit_gbm", counted_fit)
     _run(tmp_path, monkeypatch)
-    assert counts == {"requests": 104, "fits": 60}
+    assert counts == {"requests": 80, "fits": 60}
 
 
 # ADA-H and PBMV boost shorter bases than ENS-S, on the same per-modality
